@@ -461,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[ns.command](ns, cfg, argv)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"mzduality: error: {exc}", file=sys.stderr)
         return 1
 

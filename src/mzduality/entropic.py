@@ -11,7 +11,7 @@ a critical Renyi index q*:
   III (q > q*):  the unique minimizer is the balanced point
                  (1/sqrt 2, 1/sqrt 2).
 
-q* solves 2 H_q(1/sqrt 2) = ln 2 and is found by bracketed root finding.
+q* solves 2 H_q(1/sqrt 2) = ln 2 and is found by bisection.
 The restriction to pure states when minimizing over all physical states is
 justified by concavity of H_q in the state for q <= 2, so the constrained
 minimizers lie on the sphere; the q <= 2 precondition below encodes that.
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .qubit import BlochObservable, BlochVector, ProbPair, QubitState, probabilities
 
@@ -34,11 +33,10 @@ LN2 = math.log(2.0)
 SHANNON_WINDOW = 1e-7  # |q - 1| below this evaluates the Shannon limit
 BAND_EPS = 1e-6  # half-width of the regime-II band around q*
 Q_STAR_BRACKET = (1.01, 2.0)
+MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
 
 _HALF_PI = math.pi / 2.0
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _check_q(q: float) -> None:
@@ -116,135 +114,44 @@ def entropy_sum(p_val: float, v_val: float, q: float) -> float:
     return _bias_entropy(p_val, q) + _bias_entropy(v_val, q)
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # classic golden-section minimization; returns (x, f(x)) at the midpoint
-    a, b = lo, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 @dataclass(frozen=True)
 class MinimizationResult:
     """Constrained minimum of H_q(P) + H_q(V) on the arc P^2 + V^2 = 1.
 
     ``minimizers`` lists (V, P) pairs, in increasing arc angle, of every
-    local minimum whose value lies within ``value_tol`` of the optimum;
-    points closer than ``distinct_tol`` in angle are merged. ``regime`` is
-    "I", "II" or "III" according to whether the minimizer set contains
-    boundary points, both boundary and balanced points, or neither
-    boundary point.
+    candidate among (0, 1), (1/sqrt 2, 1/sqrt 2) and (1, 0) whose value
+    lies within ``MINIMIZER_VALUE_TOL`` of the minimum. ``regime`` is "I",
+    "II" or "III" according to whether the set holds the boundary points,
+    both boundary and balanced points, or the balanced point alone.
     """
 
     q: float
     min_value: float
     minimizers: tuple[tuple[float, float], ...]
     regime: str
-    grid_size: int
-    refine_tol: float
 
 
-def minimize_entropy_sum(
-    q: float,
-    *,
-    grid_size: int = 10_000,
-    refine_tol: float = 1e-12,
-    value_tol: float = 1e-9,
-    distinct_tol: float = 1e-6,
-) -> MinimizationResult:
+def minimize_entropy_sum(q: float) -> MinimizationResult:
     """Minimize H_q(P) + H_q(V) subject to P^2 + V^2 = 1, P, V >= 0.
 
-    Parametrizes (P, V) = (cos a, sin a) on a in [0, pi/2], scans a coarse
-    grid for local minima, refines each bracket by golden-section search to
-    ``refine_tol`` in a, and pins a refined point back to its bracket
-    endpoint whenever the endpoint evaluates lower (so the exact boundary
-    minimizers are reported exactly). Requires 0 < q <= 2; see module
-    docstring for why larger q is refused.
+    On the arc (P, V) = (cos a, sin a), a in [0, pi/2], the minimizers are
+    the boundary points a in {0, pi/2}, the balanced point a = pi/4, or all
+    three (the regimes in the module docstring), so only those candidates
+    are evaluated: the edge value H_q(1) + H_q(0) and the balanced value
+    2 H_q(1/sqrt 2). Requires 0 < q <= 2; see module docstring for why
+    larger q is refused.
     """
     _check_q_minimization(q)
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be at least 64, got {grid_size}")
-
-    alphas = np.linspace(0.0, _HALF_PI, grid_size)
-    vals = _bias_entropy_vec(np.cos(alphas), q) + _bias_entropy_vec(np.sin(alphas), q)
-
-    cand_idx = [0] if vals[0] <= vals[1] else []
-    interior = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    cand_idx.extend(int(i) for i in interior)
-    if vals[-1] <= vals[-2]:
-        cand_idx.append(grid_size - 1)
-
-    def f(a: float) -> float:
-        return _bias_entropy(math.cos(a), q) + _bias_entropy(math.sin(a), q)
-
-    refined: list[tuple[float, float]] = []
-    for i in cand_idx:
-        lo = alphas[max(i - 1, 0)]
-        hi = alphas[min(i + 1, grid_size - 1)]
-        x, fx = _golden_section(f, lo, hi, refine_tol)
-        for endpoint in (lo, hi):
-            fe = f(endpoint)
-            if fe < fx:
-                x, fx = endpoint, fe
-        refined.append((float(x), fx))
-
-    # merge near-duplicates, keeping the better value
-    refined.sort()
-    merged: list[tuple[float, float]] = []
-    for x, fx in refined:
-        if merged and x - merged[-1][0] <= distinct_tol:
-            if fx < merged[-1][1]:
-                merged[-1] = (x, fx)
-        else:
-            merged.append((x, fx))
-
-    min_value = min(fx for _, fx in merged)
-    winners = [(x, fx) for x, fx in merged if fx <= min_value + value_tol]
-
-    minimizers = []
-    has_boundary = False
-    has_center = False
-    for x, _ in winners:
-        if x <= distinct_tol:
-            minimizers.append((0.0, 1.0))
-            has_boundary = True
-        elif x >= _HALF_PI - distinct_tol:
-            minimizers.append((1.0, 0.0))
-            has_boundary = True
-        else:
-            minimizers.append((math.sin(x), math.cos(x)))
-            if abs(x - math.pi / 4.0) <= distinct_tol:
-                has_center = True
-
-    if has_boundary and has_center:
-        regime = "II"
-    elif has_boundary:
-        regime = "I"
-    else:
-        regime = "III"
-
-    return MinimizationResult(
-        q=q,
-        min_value=float(min_value),
-        minimizers=tuple(minimizers),
-        regime=regime,
-        grid_size=grid_size,
-        refine_tol=refine_tol,
+    edge = _bias_entropy(1.0, q) + _bias_entropy(0.0, q)
+    balanced = 2.0 * _bias_entropy(_INV_SQRT2, q)
+    min_value = min(edge, balanced)
+    candidates = ((0.0, 1.0, edge), (_INV_SQRT2, _INV_SQRT2, balanced), (1.0, 0.0, edge))
+    minimizers = tuple(
+        (v, p) for v, p, val in candidates if val <= min_value + MINIMIZER_VALUE_TOL
     )
+    # balanced point alone, the two boundary points, or all three
+    regime = {1: "III", 2: "I", 3: "II"}[len(minimizers)]
+    return MinimizationResult(q=q, min_value=min_value, minimizers=minimizers, regime=regime)
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,9 +159,11 @@ def find_q_star(tolerance: float = 1e-10) -> float:
     """Solve 2 H_q(1/sqrt 2) = ln 2 for the critical index q*.
 
     Brackets the root in [1.01, 2] (the objective is +0.1398 at the left
-    end and -0.1178 at the right), verifies the sign change, then runs
-    Brent's method with xtol = tolerance. The residual of the defining
-    equation at the returned root is of order 0.4 * tolerance or smaller.
+    end and -0.1178 at the right), verifies the sign change, then bisects
+    until the bracket is at most ``tolerance`` wide and returns its
+    midpoint, so the root lies within tolerance / 2. The residual of the
+    defining equation there is at most about 0.14 * tolerance (the slope
+    of the objective at q* is about -0.27).
     """
     if not 1e-14 <= tolerance <= 1e-3:
         raise ValueError(f"tolerance must lie in [1e-14, 1e-3], got {tolerance!r}")
@@ -269,7 +178,13 @@ def find_q_star(tolerance: float = 1e-10) -> float:
             f"no sign change across [{lo}, {hi}]: g({lo}) = {glo!r}, "
             f"g({hi}) = {ghi!r}; the entropy evaluator is broken"
         )
-    return float(brentq(g, lo, hi, xtol=tolerance))
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2.0
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:

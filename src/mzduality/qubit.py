@@ -54,7 +54,7 @@ class BlochVector:
         for name in ("sx", "sy", "sz"):
             object.__setattr__(self, name, float(getattr(self, name)))
         n = math.sqrt(self.sx * self.sx + self.sy * self.sy + self.sz * self.sz)
-        if n > 1.0 + eps_pos:
+        if not n <= 1.0 + eps_pos:  # also rejects NaN components
             raise ValueError(
                 f"Bloch norm exceeds 1: ||s|| = {n!r} violates the positivity "
                 "invariant ||s|| <= 1"
@@ -168,6 +168,8 @@ class BlochObservable:
     def __post_init__(self, eps_unit: float) -> None:
         object.__setattr__(self, "alpha1", float(self.alpha1))
         object.__setattr__(self, "alpha2", float(self.alpha2))
+        if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
+            raise ValueError(f"alpha1, alpha2 must be finite, got {self.alpha1!r}, {self.alpha2!r}")
         if self.alpha2 == 0.0:
             raise ValueError("alpha2 must be nonzero (observable would be trivial)")
         ax, ay, az = (float(c) for c in self.axis)
@@ -242,11 +244,3 @@ def overlap(obs_a: BlochObservable, obs_b: BlochObservable) -> float:
     """
     t = abs(_dot(obs_a.axis, obs_b.axis))
     return math.sqrt((1.0 + min(t, 1.0)) / 2.0)
-
-
-def purity(state: QubitState) -> float:
-    return state.purity
-
-
-def is_pure(state: QubitState) -> bool:
-    return state.is_pure

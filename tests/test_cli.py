@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mzduality
 from mzduality import LN2, find_q_star
 from mzduality.cli import main
 
@@ -73,6 +78,14 @@ def test_state_rejects_unphysical_vector(capsys):
     code, _, err = run(capsys, "state", "--bloch", "1,1,1")
     assert code == 1
     assert "Bloch norm" in err
+
+
+def test_state_rejects_nan_component(capsys):
+    code, out, err = run(capsys, "state", "--bloch", "nan,0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mzduality: error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_state_bad_triple_syntax(capsys):
@@ -264,6 +277,27 @@ def test_out_writes_file(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("# tool: mzduality")
     assert text.endswith("\n")
+
+
+def test_out_to_missing_directory_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "--out", str(target), "qstar")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mzduality: error:")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package and CLI must not need it
+    src_root = str(Path(mzduality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_root, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, mzduality, mzduality.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_bad_seed_rejected(capsys):
