@@ -37,15 +37,12 @@ from .entropic import (
     random_mixed_bloch,
     random_pure_bloch,
 )
-from .interferometer import apply_beam_splitter, duality_report, fringe_scan, visibility
-from .qubit import EPS_NORM, EPS_POS, EPS_PURE, EPS_UNIT, QubitState
-from .uncertainty import EPS_GAP, equivalence_audit
+from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
+from .qubit import EPS_POS, BlochVector, QubitState
+from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 
 TOLERANCE_DEFAULTS = {
     "eps_pos": EPS_POS,
-    "eps_pure": EPS_PURE,
-    "eps_unit": EPS_UNIT,
-    "eps_norm": EPS_NORM,
     "eps_gap": EPS_GAP,
     "band_eps": BAND_EPS,
 }
@@ -231,7 +228,6 @@ def _state_from_args(ns: argparse.Namespace, cfg: RunConfig) -> QubitState:
 
 def cmd_state(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     state = _state_from_args(ns, cfg)
-    rep = duality_report(state)
     audit = equivalence_audit(state, cfg.tolerances["eps_gap"])
     scalars: list[tuple[str, str]] = [
         ("sx", _fmt(state.bloch.sx)),
@@ -240,12 +236,12 @@ def cmd_state(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
         ("w_plus", _fmt(state.w_plus)),
         ("w_minus", _fmt(state.w_minus)),
         ("r", _fmt(state.r)),
-        ("theta", _fmt(rep.theta)),
+        ("theta", _fmt(state.theta)),
         ("purity", _fmt(state.purity)),
         ("is_pure", _fmt_bool(state.is_pure)),
-        ("predictability", _fmt(rep.predictability)),
-        ("visibility", _fmt(rep.visibility)),
-        ("duality_lhs", _fmt(rep.lhs)),
+        ("predictability", _fmt(predictability(state))),
+        ("visibility", _fmt(visibility(state))),
+        ("duality_lhs", _fmt(audit.duality.lhs)),
         ("duality_holds", _fmt_bool(audit.duality.holds)),
         ("duality_saturated", _fmt_bool(audit.duality.saturated)),
         ("sr_lhs", _fmt(audit.sr.lhs)),
@@ -307,31 +303,35 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
+def _checked_rows(s: np.ndarray, eps_pos: float) -> np.ndarray:
+    """BlochVector's rule per row: rescale norms in (1, 1 + eps_pos] in place, reject larger."""
+    norm = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
+    bad = np.flatnonzero(~(norm <= 1.0 + eps_pos))
+    if bad.size:
+        BlochVector(*s[bad[0]], eps_pos=eps_pos)  # raises: same norm expression
+    over = norm > 1.0
+    s[over] /= norm[over, None]
+    return s
+
+
 def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     if ns.n < 1:
         raise ValueError(f"--n must be at least 1, got {ns.n}")
     n_pure = ns.n // 2
-    n_mixed = ns.n - n_pure
-    blochs = []
-    if n_pure:
-        blochs.append(random_pure_bloch(n_pure, cfg.seed))
-    if n_mixed:
-        blochs.append(random_mixed_bloch(n_mixed, cfg.seed + 1))
-    eps_gap = cfg.tolerances["eps_gap"]
-    agreed = 0
-    violations: list[tuple[int, str]] = []
-    for idx, (x, y, z) in enumerate(np.vstack(blochs)):
-        state = QubitState.from_bloch(float(x), float(y), float(z), eps_pos=cfg.tolerances["eps_pos"])
-        audit = equivalence_audit(state, eps_gap)
-        if audit.all_hold and audit.all_agree_on_saturation:
-            agreed += 1
-        else:
-            detail = (
-                f"duality_gap={_fmt(audit.duality.gap)}"
-                f" sr_gap={_fmt(audit.sr.gap)} lp_gap={_fmt(audit.lp.gap)}"
-            )
-            violations.append((idx, detail))
-    ok = agreed == ns.n
+    rows = [random_pure_bloch(n_pure, cfg.seed), random_mixed_bloch(ns.n - n_pure, cfg.seed + 1)]
+    s = _checked_rows(np.vstack(rows), cfg.tolerances["eps_pos"])
+    audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), cfg.tolerances["eps_gap"])
+    bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
+    violations = [
+        (
+            i,
+            f"duality_gap={_fmt(audit.duality.gap[i])}"
+            f" sr_gap={_fmt(audit.sr.gap[i])} lp_gap={_fmt(audit.lp.gap[i])}",
+        )
+        for i in bad
+    ]
+    agreed = ns.n - len(bad)
+    ok = not bad
     if cfg.output_format == "json":
         payload = {
             "meta": _meta_dict(cfg, argv),
@@ -431,12 +431,9 @@ def cmd_contour(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
             f"# constraint: {grid.constraint}",
             "v,p,value",
         ]
-        axis = grid.axis
-        for i in range(grid.n):
-            vi = _fmt(axis[i])
-            row = grid.values[i]
-            for j in range(grid.n):
-                lines.append(f"{vi},{_fmt(axis[j])},{_fmt(row[j])}")
+        axis = [_fmt(a) for a in grid.axis]
+        for vi, row in zip(axis, grid.values):
+            lines += [f"{vi},{aj},{_fmt(x)}" for aj, x in zip(axis, row)]
         _emit("\n".join(lines) + "\n", cfg)
     return 0
 

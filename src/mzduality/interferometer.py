@@ -16,33 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qubit import (
     TWO_PI,
     BlochObservable,
     BlochVector,
     QubitState,
 )
-
-
-@dataclass(frozen=True)
-class BeamSplitter:
-    """Symmetric 50:50 beam splitter, exp(-i pi sigma_y / 4)."""
-
-    def apply(self, state: QubitState) -> QubitState:
-        return apply_beam_splitter(state)
-
-
-@dataclass(frozen=True)
-class PhaseShifter:
-    """Relative phase phi between the arms, exp(-i phi sigma_z / 2)."""
-
-    phi: float
-
-    def apply(self, state: QubitState) -> QubitState:
-        return apply_phase_shifter(state, self.phi)
-
-
-MzElement = BeamSplitter | PhaseShifter
 
 
 def apply_beam_splitter(state: QubitState) -> QubitState:
@@ -56,13 +37,6 @@ def apply_phase_shifter(state: QubitState, phi: float) -> QubitState:
     s = state.bloch
     c, sn = math.cos(phi), math.sin(phi)
     return QubitState(BlochVector(s.sx * c - s.sy * sn, s.sx * sn + s.sy * c, s.sz))
-
-
-def apply_elements(state: QubitState, elements: list[MzElement] | tuple[MzElement, ...]) -> QubitState:
-    """Apply interferometer elements in order."""
-    for el in elements:
-        state = el.apply(state)
-    return state
 
 
 def predictability(state: QubitState) -> float:
@@ -112,48 +86,21 @@ def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:
     """Scan phi over n_phases equispaced points in [0, 2*pi).
 
     For each phi the state passes a phase shifter then a beam splitter and
-    detector D1 clicks with probability w_plus of the output state.
+    detector D1 clicks with probability w_plus of the output state. That
+    output has sz = -(sx cos phi - sy sin phi), so the whole scan is the
+    closed form p_d1 = (1 - (sx cos phi - sy sin phi))/2 over the grid.
     """
     if n_phases < 8:
         raise ValueError(f"n_phases must be at least 8, got {n_phases}")
-    phases = []
-    p1s = []
-    p2s = []
-    for k in range(n_phases):
-        phi = TWO_PI * k / n_phases
-        out = apply_beam_splitter(apply_phase_shifter(state, phi))
-        p1 = out.w_plus
-        phases.append(phi)
-        p1s.append(p1)
-        p2s.append(1.0 - p1)
-    p_max = max(p1s)
-    p_min = min(p1s)
+    s = state.bloch
+    phases = TWO_PI * np.arange(n_phases) / n_phases
+    p1 = (1.0 - (s.sx * np.cos(phases) - s.sy * np.sin(phases))) / 2.0
+    p_max, p_min = float(p1.max()), float(p1.min())
     return FringeScan(
         p_max=p_max,
         p_min=p_min,
         v_operational=(p_max - p_min) / (p_max + p_min),
-        phases=tuple(phases),
-        p_d1=tuple(p1s),
-        p_d2=tuple(p2s),
+        phases=tuple(phases.tolist()),
+        p_d1=tuple(p1.tolist()),
+        p_d2=tuple((1.0 - p1).tolist()),
     )
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """P, V and theta of a state together with the duality combination P^2 + V^2."""
-
-    predictability: float
-    visibility: float
-    theta: float
-    lhs: float
-
-    @property
-    def saturated(self) -> bool:
-        return abs(self.lhs - 1.0) <= 1e-9
-
-
-def duality_report(state: QubitState) -> DualityReport:
-    """Evaluate P^2 + V^2 (= ||s||^2, hence <= 1, with equality iff pure)."""
-    p = predictability(state)
-    v = visibility(state)
-    return DualityReport(p, v, state.theta, p * p + v * v)

@@ -15,13 +15,19 @@ inequality here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .interferometer import predictability, visibility
 from .qubit import BlochObservable, QubitState, _cross, _dot, overlap
 
 EPS_GAP = 1e-9  # |gap| below this counts as saturated
 _ACOS_SLACK = 1e-12  # arccos/sqrt arguments may overshoot their domain by this
+# rounding bound of the audit's scaled LP gap (see pv_audit), in units of
+# 2^-53: float evaluation adds at most 6.3 and the stored state 2, rounded up
+LP_ROUNDING = 16 * 2.0**-53
+_LP_RHS = math.sqrt(0.5)  # overlap of sigma_z with any fringe quadrature
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,9 @@ class UncertaintyVerdict:
     """Evaluated inequality: both sides, the slack, and the boolean verdicts.
 
     ``gap`` is oriented so that the relation holds iff gap >= -eps_gap,
-    regardless of whether the underlying inequality reads >= or <=.
+    regardless of whether the underlying inequality reads >= or <=. The
+    one exception is the LP leg of the equivalence audit, which compares
+    against eps_gap plus the rounding bound of its gap (see ``pv_audit``).
     """
 
     lhs: float
@@ -189,7 +197,7 @@ class EquivalenceAudit:
     SR is taken at phi = theta (the fringe-maximizing phase) and LP in the
     product form for the which-way and fringe observables at that phase;
     the three are then algebraically equivalent, so they must agree both
-    on holding and on saturation.
+    on holding and on saturation. The flags also work on ``pv_audit`` arrays.
     """
 
     duality: UncertaintyVerdict
@@ -210,20 +218,48 @@ class EquivalenceAudit:
 
     @property
     def all_hold(self) -> bool:
-        return self.duality.holds and self.sr.holds and self.lp.holds
+        return self.duality.holds & self.sr.holds & self.lp.holds
 
     @property
     def all_agree_on_saturation(self) -> bool:
-        return self.duality.saturated == self.sr.saturated == self.lp.saturated
+        return (self.duality.saturated == self.sr.saturated) & (
+            self.sr.saturated == self.lp.saturated
+        )
+
+
+def pv_audit(
+    p: float | np.ndarray, v: float | np.ndarray, eps_gap: float = EPS_GAP
+) -> EquivalenceAudit:
+    """Duality, SR and LP-product verdicts at phi = theta, elementwise in P and V.
+
+    The relations are P^2 + V^2 <= 1, (1 - P^2)(1 - V^2) >= (PV)^2 and
+    sqrt(M_P M_V) - sqrt((1 - M_P)(1 - M_V)) <= sqrt(1/2), M_X = (1 + X)/2;
+    arrays give array fields, rhs stays a constant. The LP gap equals
+    (1 - P^2 - V^2)/scale, scale = (S + PV)(sqrt 2 + 2 lhs), S = sqrt((1 -
+    P^2)(1 - V^2)). The scale vanishes at the poles and on the equator, where
+    a pure state's last-ulp norm error alone gives an LP gap above eps_gap,
+    so the LP leg compares gap * scale with eps_gap * scale + LP_ROUNDING.
+    """
+    pp, vv = p * p, v * v
+    sr_lhs = (1.0 - pp) * (1.0 - vv)
+    ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
+    lp_lhs = np.sqrt(ma * mb) - np.sqrt(np.maximum((1.0 - ma) * (1.0 - mb), 0.0))
+    lp_gap = _LP_RHS - lp_lhs
+    scale = (np.sqrt(np.maximum(sr_lhs, 0.0)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
+    slack = eps_gap * scale + LP_ROUNDING
+    return EquivalenceAudit(
+        duality=_verdict_leq(pp + vv, 1.0, eps_gap),
+        sr=_verdict_geq(sr_lhs, pp * v * v, eps_gap),
+        lp=UncertaintyVerdict(
+            lp_lhs, _LP_RHS, lp_gap, lp_gap * scale >= -slack, np.abs(lp_gap) * scale <= slack
+        ),
+    )
 
 
 def equivalence_audit(state: QubitState, eps_gap: float = EPS_GAP) -> EquivalenceAudit:
-    """Evaluate the three equivalent bounds at phi = theta(state)."""
-    from .interferometer import predictability_op, visibility_op
-
-    phi = state.theta
-    return EquivalenceAudit(
-        duality=duality_inequality(state, eps_gap),
-        sr=sr_pv_form(state, phi, eps_gap),
-        lp=lp_product_form(predictability_op(), visibility_op(phi), state, eps_gap),
-    )
+    """``pv_audit`` on one state, in plain floats and bools; the LP leg
+    allows for the rounding of its scaled gap in the same way."""
+    audit = pv_audit(predictability(state), visibility(state), eps_gap)
+    v = audit.lp  # the only leg evaluated with numpy functions
+    lp = UncertaintyVerdict(float(v.lhs), v.rhs, float(v.gap), bool(v.holds), bool(v.saturated))
+    return replace(audit, lp=lp)

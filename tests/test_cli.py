@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mzduality
-from mzduality import LN2, find_q_star
-from mzduality.cli import main
+from mzduality import LN2, BlochVector, find_q_star, random_mixed_bloch, random_pure_bloch
+from mzduality.cli import _checked_rows, main
+from mzduality.qubit import EPS_POS
 
 Q_STAR = 1.4313558811842468
 
@@ -185,6 +187,31 @@ def test_verify_flags_saturation_scale_mismatch(capsys):
     assert "# violation index=" in out
 
 
+@pytest.mark.parametrize("seed", ["3316931508", "3291212083"])
+def test_verify_pure_states_near_the_equator_agree(capsys, seed):
+    # each sample holds a pure state with P below 1e-7, where the last-ulp
+    # norm error of the stored state alone pushes the LP gap past eps_gap
+    code, out, _ = run(capsys, "--seed", seed, "verify", "--n", "20000")
+    assert code == 0
+    assert csv_values(out)["agreed"] == "20000"
+
+
+def test_verify_applies_eps_pos(capsys):
+    # some sampled pure rows round to norm 1 + 2^-52, which only a
+    # positive slack lets through
+    code, _, err = run(capsys, "--tolerance", "eps_pos=1e-300", "verify", "--n", "2000")
+    assert code == 1
+    assert err.startswith("mzduality: error: Bloch norm exceeds 1")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_rows_follow_bloch_vector_rule():
+    rows = np.vstack([random_pure_bloch(50, 3) * (1.0 + 1e-10), random_mixed_bloch(50, 4)])
+    want = [BlochVector(*map(float, r)).as_tuple() for r in rows]
+    got = [tuple(r) for r in _checked_rows(rows.copy(), EPS_POS).tolist()]
+    assert got == want
+
+
 def test_verify_rejects_zero_states(capsys):
     code, _, err = run(capsys, "verify", "--n", "0")
     assert code == 1
@@ -319,5 +346,38 @@ def test_version_flag(capsys):
 def test_meta_block_lists_tolerances(capsys):
     _, out, _ = run(capsys, "state", "--bloch", "0,0,0")
     tol_line = next(l for l in out.splitlines() if l.startswith("# tolerances:"))
-    for name in ("eps_pos", "eps_pure", "eps_unit", "eps_norm", "eps_gap", "band_eps"):
-        assert name + "=" in tol_line
+    names = [item.partition("=")[0] for item in tol_line.split(": ", 1)[1].split()]
+    assert names == ["band_eps", "eps_gap", "eps_pos"]
+
+
+def test_unapplied_tolerance_names_are_rejected(capsys):
+    # eps_pure, eps_unit and eps_norm were recorded but never applied
+    code, out, err = run(capsys, "--tolerance", "eps_pure=0.5", "state", "--bloch", "0,0,0")
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("mzduality: error:")]
+    assert errors == [
+        "mzduality: error: unknown tolerance 'eps_pure'; known names: band_eps, eps_gap, eps_pos"
+    ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "state": ["state", "--bloch", "0.6,0,0.8"],
+    "mz": ["mz", "--bloch", "0.6,0,0.8"],
+    "verify": ["verify", "--n", "2000"],
+    "qscan": ["qscan"],
+    "qstar": ["qstar"],
+    "contour": ["contour", "--n", "33"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_output_matches_golden_bytes(capsys, name, fmt):
+    # regenerate a file with
+    #   mzduality --format FMT <GOLDEN_ARGV[name]> > tests/golden/NAME.FMT
+    # only when a change to the output is deliberate
+    code, out, _ = run(capsys, "--format", fmt, *GOLDEN_ARGV[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()

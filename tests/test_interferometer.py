@@ -12,13 +12,9 @@ import matrix_oracle as mo
 from conftest import ball_points, phases, sphere_points
 from mzduality import (
     MAXIMALLY_MIXED,
-    BeamSplitter,
-    PhaseShifter,
     QubitState,
     apply_beam_splitter,
-    apply_elements,
     apply_phase_shifter,
-    duality_report,
     expectation,
     fringe_scan,
     predictability,
@@ -109,22 +105,11 @@ class TestPhaseShifter:
 
 
 class TestElements:
-    def test_element_objects_match_functions(self):
-        state = QubitState.from_bloch(0.1, 0.5, -0.2)
-        assert BeamSplitter().apply(state) == apply_beam_splitter(state)
-        assert PhaseShifter(0.7).apply(state) == apply_phase_shifter(state, 0.7)
-
-    def test_apply_elements_sequences(self):
-        state = QubitState.from_bloch(0.0, 0.0, 1.0)
-        out = apply_elements(state, [BeamSplitter(), PhaseShifter(0.7), BeamSplitter()])
-        want = apply_beam_splitter(apply_phase_shifter(apply_beam_splitter(state), 0.7))
-        assert out == want
-
     def test_full_interferometer_fringe_law(self):
         # source in the + path; detector-1 probability is (1 - cos phi)/2
         source = QubitState.from_bloch(0.0, 0.0, 1.0)
         for phi in np.linspace(0.0, TWO_PI, 17):
-            out = apply_elements(source, [BeamSplitter(), PhaseShifter(phi), BeamSplitter()])
+            out = apply_beam_splitter(apply_phase_shifter(apply_beam_splitter(source), phi))
             assert out.w_plus == pytest.approx((1.0 - math.cos(phi)) / 2.0, abs=1e-12)
 
 
@@ -207,24 +192,17 @@ class TestFringeScan:
             scan = fringe_scan(state, 3600)
             assert abs(scan.v_operational - visibility(state)) < 2e-6
 
+    def test_matches_element_functions(self):
+        blochs = np.vstack([random_pure_bloch(20, seed=5), random_mixed_bloch(20, seed=6)])
+        for s in blochs:
+            state = QubitState.from_bloch(*map(float, s))
+            scan = fringe_scan(state, 64)
+            for phi, p1 in zip(scan.phases, scan.p_d1):
+                want = apply_beam_splitter(apply_phase_shifter(state, phi)).w_plus
+                assert abs(p1 - want) <= 1e-15
+
     def test_grid_resolution_improves_estimate(self):
         state = QubitState.from_bloch(0.5, 0.5, 0.3)
         coarse = abs(fringe_scan(state, 36).v_operational - visibility(state))
         fine = abs(fringe_scan(state, 3600).v_operational - visibility(state))
         assert fine <= coarse + 1e-15
-
-
-class TestDualityReport:
-    def test_pure_state_saturates(self):
-        rep = duality_report(QubitState.from_bloch(0.6, 0.0, 0.8))
-        assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-        assert rep.saturated
-
-    def test_mixed_state_is_strict(self):
-        rep = duality_report(QubitState.from_bloch(0.3, 0.0, 0.4))
-        assert rep.lhs == pytest.approx(0.25, abs=1e-12)
-        assert not rep.saturated
-
-    @given(ball_points())
-    def test_never_exceeds_one(self, s):
-        assert duality_report(QubitState.from_bloch(*s)).lhs <= 1.0 + 1e-12

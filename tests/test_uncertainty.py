@@ -24,6 +24,7 @@ from mzduality import (
     predictability,
     predictability_op,
     probabilities,
+    pv_audit,
     random_mixed_bloch,
     random_pure_bloch,
     sr_pv_form,
@@ -33,6 +34,7 @@ from mzduality import (
 )
 
 INV_SQRT2 = 2.0**-0.5
+TWO_PI = 2.0 * math.pi
 SIGMA_Z = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0))
 SIGMA_X = BlochObservable(0.0, 1.0, (1.0, 0.0, 0.0))
 SUPER = QubitState.from_bloch(INV_SQRT2, 0.0, INV_SQRT2)
@@ -196,6 +198,10 @@ class TestDualityInequality:
     def test_pure_states_saturate(self, s):
         assert duality_inequality(QubitState.from_bloch(*s)).saturated
 
+    @given(ball_points())
+    def test_lhs_never_exceeds_one(self, s):
+        assert duality_inequality(QubitState.from_bloch(*s)).lhs <= 1.0 + 1e-12
+
 
 class TestEquivalenceAudit:
     def test_maximally_mixed(self):
@@ -231,3 +237,77 @@ class TestEquivalenceAudit:
     def test_duality_holds_flags(self):
         audit = equivalence_audit(SUPER)
         assert audit.duality_holds and audit.sr_holds and audit.lp_holds
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    # normalized the way random_pure_bloch normalizes its Gaussian draws
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def _pv(rows: np.ndarray):
+    return np.abs(rows[:, 2]), np.hypot(rows[:, 0], rows[:, 1])
+
+
+class TestPvAudit:
+    def test_matches_scalar_relations(self):
+        rows = np.vstack([random_pure_bloch(5000, 11), random_mixed_bloch(5000, 12)])
+        audit = pv_audit(*_pv(rows))
+        for i, s in enumerate(rows):
+            state = QubitState.from_bloch(*map(float, s))
+            want = (
+                duality_inequality(state),
+                sr_pv_form(state, state.theta),
+                lp_product_form(predictability_op(), visibility_op(state.theta), state),
+            )
+            got = (audit.duality, audit.sr, audit.lp)
+            for g, w, tol in zip(got, want, (1e-15, 1e-15, 1e-11)):
+                assert (bool(g.holds[i]), bool(g.saturated[i])) == (w.holds, w.saturated)
+                assert abs(g.gap[i] - w.gap) <= tol
+
+    def test_scalar_wrapper_returns_plain_values(self):
+        state = QubitState.from_bloch(0.3, -0.2, 0.6)
+        audit = equivalence_audit(state)
+        array = pv_audit(np.array([predictability(state)]), np.array([visibility(state)]))
+        for v, a in zip((audit.duality, audit.sr, audit.lp), (array.duality, array.sr, array.lp)):
+            assert type(v.lhs) is type(v.rhs) is type(v.gap) is float
+            assert type(v.holds) is type(v.saturated) is bool
+            assert (v.lhs, v.gap, v.holds, v.saturated) == (a.lhs[0], a.gap[0], a.holds[0], a.saturated[0])
+
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7, 3e-7])
+    def test_pure_states_near_the_equator_agree(self, p):
+        # at P ~ 1e-8 the last-ulp norm error of a stored pure state turns
+        # into an LP gap above eps_gap; the audit's rounding bound absorbs it
+        rng = np.random.default_rng(31)
+        a = rng.uniform(0.0, TWO_PI, 5000)
+        r = math.sqrt(1.0 - p * p)
+        rows = _unit_rows(np.column_stack([r * np.cos(a), r * np.sin(a), np.full(5000, p)]))
+        rows[::2, 2] *= -1.0
+        audit = pv_audit(*_pv(rows))
+        assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
+        assert audit.duality.saturated.all()
+        for s in rows[:50]:
+            assert equivalence_audit(QubitState.from_bloch(*map(float, s))).all_agree_on_saturation
+
+    @pytest.mark.parametrize("v", [0.0, 1e-12, 1e-10, 1e-8, 1e-7])
+    def test_pure_states_near_the_poles_agree(self, v):
+        rng = np.random.default_rng(37)
+        a = rng.uniform(0.0, TWO_PI, 5000)
+        z = np.full(5000, math.sqrt(1.0 - v * v))
+        z[::2] *= -1.0
+        rows = _unit_rows(np.column_stack([v * np.cos(a), v * np.sin(a), z]))
+        audit = pv_audit(*_pv(rows))
+        assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
+        assert audit.duality.saturated.all()
+
+    def test_slightly_mixed_states_stay_unsaturated(self):
+        # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, and the
+        # rounding bound must not pull any relation into saturation
+        rows = np.vstack([
+            random_pure_bloch(5000, 41),
+            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.0, 0.8]],
+        ])
+        rows *= math.sqrt(1.0 - 1e-8)
+        audit = pv_audit(*_pv(rows))
+        assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
+        for verdict in (audit.duality, audit.sr, audit.lp):
+            assert not verdict.saturated.any()
