@@ -9,18 +9,23 @@ grid over the (V, P) square).
 Output is CSV (default) or JSON, to stdout or --out, always preceded by a
 metadata block recording tool version, the exact command line, the seed
 and the active tolerances. Identical invocations produce byte-identical
-output. Angles are radians; floats are printed with 17 significant
-digits. Exit codes: 0 success, 1 usage or validation error, 2 property
-violation detected by verify.
+output; the JSON text is exactly ``json.dumps(payload, indent=2)`` plus a
+newline. Large tables are formatted and written a row at a time, after
+all computation and validation are done. Angles are radians; floats are
+printed with 17 significant digits. Exit codes: 0 success, 1 usage or
+validation error, 2 property violation detected by verify.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +75,11 @@ def _fmt_bool(b: bool) -> str:
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
-    # property violations here, so remap usage errors to 1
+    # property violations here, so remap usage errors to 1. A subcommand's
+    # parser reports under the tool's name too, so every error is one
+    # "mzduality: error: ..." line.
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"mzduality: error: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
@@ -204,15 +210,80 @@ def _meta_dict(cfg: RunConfig, argv: list[str]) -> dict:
     }
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-    else:
-        cfg.output_path.write_text(text, encoding="utf-8", newline="\n")
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
-def _emit_json(payload: dict, cfg: RunConfig) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", cfg)
+def _write(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    """Write the output chunks in order to --out, or to stdout without it."""
+    target = (
+        open(cfg.output_path, "w", encoding="utf-8", newline="\n")
+        if cfg.output_path is not None
+        else contextlib.nullcontext(sys.stdout)
+    )
+    with target as out:
+        for chunk in chunks:
+            out.write(chunk)
+
+
+def _g17(xs: Sequence[float]) -> list[str]:
+    """format(x, ".17g") of each float; "%.17g" spells every float the same way."""
+    return ("%.17g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
+
+
+_ENCODE_LINES = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _json_floats(xs: Sequence[float]) -> list[str]:
+    """json's own spelling of each float (repr, NaN, Infinity), from its C encoder."""
+    return _ENCODE_LINES(xs)[1:-1].split("\n") if xs else []
+
+
+def _symmetric_rows(
+    values: np.ndarray, fmt_row: Callable[[list[float]], list[str]]
+) -> Iterator[list[str]]:
+    """Row by row, the strings of an exactly symmetric matrix.
+
+    Only the cells on and above the diagonal go through fmt_row; each
+    string is mirrored into the cell below the diagonal that equals it.
+    """
+    n = len(values)
+    cells = np.empty((n, n), dtype=object)
+    for i in range(n):
+        upper = fmt_row(values[i, i:].tolist())
+        cells[i, i:] = upper
+        cells[i:, i] = upper
+        yield cells[i].tolist()
+
+
+@dataclass(frozen=True)
+class _JsonArray:
+    """The value of a top-level field that is a JSON array, streamed item by item.
+
+    Each item is already encoded the way json.dumps(payload, indent=2)
+    writes an item of such an array: inner lines indented by six spaces,
+    a closing bracket by four.
+    """
+
+    items: Iterable[str]
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """json.dumps(payload, indent=2) + "\n", one field or array item at a time."""
+    sep = "{\n  "
+    for key, value in payload.items():
+        yield sep + json.dumps(key) + ": "
+        sep = ",\n  "
+        if isinstance(value, _JsonArray):
+            item_sep = "[\n    "
+            for item in value.items:
+                yield item_sep + item
+                item_sep = ",\n    "
+            yield "[]" if item_sep == "[\n    " else "\n  ]"
+        else:
+            # json escapes newlines inside strings, so every "\n" here starts a line
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def _state_from_args(ns: argparse.Namespace, cfg: RunConfig) -> QubitState:
@@ -260,11 +331,11 @@ def cmd_state(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
             "state": state.to_dict(),
             "report": {k: v for k, v in scalars},
         }
-        _emit_json(payload, cfg)
+        _write(cfg, _json_chunks(payload))
     else:
         lines = _meta_lines(cfg, argv) + ["quantity,value"]
         lines += [f"{k},{v}" for k, v in scalars]
-        _emit("\n".join(lines) + "\n", cfg)
+        _write(cfg, [_lines(lines)])
     return 0
 
 
@@ -275,31 +346,27 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     scan = fringe_scan(inside, ns.phases)
     v_analytic = visibility(inside)
     if cfg.output_format == "json":
+        row = '{\n      "phi": %s,\n      "p_d1": %s,\n      "p_d2": %s\n    }'
+        columns = (_json_floats(c) for c in (scan.phases, scan.p_d1, scan.p_d2))
         payload = {
             "meta": _meta_dict(cfg, argv),
-            "rows": [
-                {"phi": phi, "p_d1": p1, "p_d2": p2}
-                for phi, p1, p2 in zip(scan.phases, scan.p_d1, scan.p_d2)
-            ],
+            "rows": _JsonArray(map(row.__mod__, zip(*columns))),
             "p_max": scan.p_max,
             "p_min": scan.p_min,
             "v_operational": scan.v_operational,
             "visibility_analytic": v_analytic,
         }
-        _emit_json(payload, cfg)
+        _write(cfg, _json_chunks(payload))
     else:
-        lines = _meta_lines(cfg, argv) + ["phi,p_d1,p_d2"]
-        lines += [
-            f"{_fmt(phi)},{_fmt(p1)},{_fmt(p2)}"
-            for phi, p1, p2 in zip(scan.phases, scan.p_d1, scan.p_d2)
-        ]
-        lines += [
+        head = _lines(_meta_lines(cfg, argv) + ["phi,p_d1,p_d2"])
+        rows = map("%.17g,%.17g,%.17g\n".__mod__, zip(scan.phases, scan.p_d1, scan.p_d2))
+        tail = _lines([
             f"# p_max: {_fmt(scan.p_max)}",
             f"# p_min: {_fmt(scan.p_min)}",
             f"# v_operational: {_fmt(scan.v_operational)}",
             f"# visibility_analytic: {_fmt(v_analytic)}",
-        ]
-        _emit("\n".join(lines) + "\n", cfg)
+        ])
+        _write(cfg, chain([head], rows, [tail]))
     return 0
 
 
@@ -340,7 +407,7 @@ def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
             "violations": [{"index": i, "detail": d} for i, d in violations],
             "all_hold": ok,
         }
-        _emit_json(payload, cfg)
+        _write(cfg, _json_chunks(payload))
     else:
         lines = _meta_lines(cfg, argv) + [
             "quantity,value",
@@ -349,7 +416,7 @@ def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
             f"all_hold,{_fmt_bool(ok)}",
         ]
         lines += [f"# violation index={i} {d}" for i, d in violations]
-        _emit("\n".join(lines) + "\n", cfg)
+        _write(cfg, [_lines(lines)])
     return 0 if ok else 2
 
 
@@ -385,13 +452,13 @@ def cmd_qscan(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
                 for q, regime, res in rows
             ],
         }
-        _emit_json(payload, cfg)
+        _write(cfg, _json_chunks(payload))
     else:
         lines = _meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"]
         for q, regime, res in rows:
             mins = ";".join(f"{_fmt(v)}:{_fmt(p)}" for v, p in res.minimizers)
             lines.append(f"{_fmt(q)},{regime},{_fmt(res.min_value)},{mins}")
-        _emit("\n".join(lines) + "\n", cfg)
+        _write(cfg, [_lines(lines)])
     return 0
 
 
@@ -401,40 +468,48 @@ def cmd_qstar(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     residual = entropy_sum(inv, inv, q_star) - LN2
     if cfg.output_format == "json":
         payload = {"meta": _meta_dict(cfg, argv), "q_star": q_star, "residual": residual}
-        _emit_json(payload, cfg)
+        _write(cfg, _json_chunks(payload))
     else:
         lines = _meta_lines(cfg, argv) + [
             "quantity,value",
             f"q_star,{_fmt(q_star)}",
             f"residual,{_fmt(residual)}",
         ]
-        _emit("\n".join(lines) + "\n", cfg)
+        _write(cfg, [_lines(lines)])
     return 0
 
 
 def cmd_contour(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     grid = contour_grid(ns.q, ns.n)
     if cfg.output_format == "json":
+        inner = "\n      "
         payload = {
             "meta": _meta_dict(cfg, argv),
             "q": grid.q,
             "n": grid.n,
             "constraint": grid.constraint,
-            "axis": [float(a) for a in grid.axis],
-            "values": [[float(x) for x in row] for row in grid.values],
+            "axis": _JsonArray(_json_floats(grid.axis.tolist())),
+            "values": _JsonArray(
+                "[" + inner + ("," + inner).join(row) + "\n    ]"
+                for row in _symmetric_rows(grid.values, _json_floats)
+            ),
         }
-        _emit_json(payload, cfg)
+        _write(cfg, _json_chunks(payload))
     else:
-        lines = _meta_lines(cfg, argv) + [
+        head = _lines(_meta_lines(cfg, argv) + [
             f"# q: {_fmt(grid.q)}",
             f"# n: {grid.n}",
             f"# constraint: {grid.constraint}",
             "v,p,value",
-        ]
-        axis = [_fmt(a) for a in grid.axis]
-        for vi, row in zip(axis, grid.values):
-            lines += [f"{vi},{aj},{_fmt(x)}" for aj, x in zip(axis, row)]
-        _emit("\n".join(lines) + "\n", cfg)
+        ])
+        # row i is "v_i,p_j,value_ij" over j; the numeric axis strings hold no "%"
+        axis = _g17(grid.axis.tolist())
+        cells = [f",{p},%s\n" for p in axis]
+        rows = (
+            v + v.join(cells) % tuple(row)
+            for v, row in zip(axis, _symmetric_rows(grid.values, _g17))
+        )
+        _write(cfg, chain([head], rows))
     return 0
 
 

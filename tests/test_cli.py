@@ -13,8 +13,30 @@ import numpy as np
 import pytest
 
 import mzduality
-from mzduality import LN2, BlochVector, find_q_star, random_mixed_bloch, random_pure_bloch
-from mzduality.cli import _checked_rows, main
+from mzduality import (
+    LN2,
+    BlochVector,
+    QubitState,
+    apply_beam_splitter,
+    contour_grid,
+    find_q_star,
+    fringe_scan,
+    random_mixed_bloch,
+    random_pure_bloch,
+    visibility,
+)
+from mzduality.cli import (
+    RunConfig,
+    _checked_rows,
+    _g17,
+    _json_chunks,
+    _json_floats,
+    _JsonArray,
+    _meta_dict,
+    _meta_lines,
+    _symmetric_rows,
+    main,
+)
 from mzduality.qubit import EPS_POS
 
 Q_STAR = 1.4313558811842468
@@ -308,12 +330,19 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_out_to_missing_directory_is_a_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
-    code, out, err = run(capsys, "--out", str(target), "qstar")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("mzduality: error:")
-    assert len(err.splitlines()) == 1
-    assert not target.exists()
+    for argv in (
+        ["qstar"],
+        ["contour", "--n", "40"],
+        ["--format", "json", "contour", "--n", "40"],
+        ["mz", "--bloch", "0,0,1"],
+    ):
+        code, out, err = run(capsys, "--out", str(target), *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mzduality: error:")
+        assert len(err.splitlines()) == 1
+        assert not target.exists()
+        assert not target.parent.exists()
 
 
 def test_import_loads_no_scipy():
@@ -381,3 +410,163 @@ def test_output_matches_golden_bytes(capsys, name, fmt):
     code, out, _ = run(capsys, "--format", fmt, *GOLDEN_ARGV[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tolerance", "eps_pure=0.5", "state", "--bloch", "0,0,0"],
+        ["frobnicate"],
+        [],
+        ["mz", "--bloch", "0,0,1", "--phases", "many"],
+    ],
+    ids=["unknown-tolerance", "unknown-command", "no-arguments", "bad-int"],
+)
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mzduality: error: ")
+
+
+# Reference serializers: the per-cell formulas the CLI used before it
+# streamed its tables, applied to the same computed quantities.
+
+def _reference_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _reference_csv(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _fmt17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _reference_contour(argv: list[str], fmt: str, q: float, n: int) -> str:
+    grid = contour_grid(q, n)
+    if fmt == "json":
+        return _reference_json({
+            "meta": _meta_dict(RunConfig(), argv),
+            "q": grid.q,
+            "n": grid.n,
+            "constraint": grid.constraint,
+            "axis": [float(a) for a in grid.axis],
+            "values": [[float(x) for x in row] for row in grid.values],
+        })
+    lines = _meta_lines(RunConfig(), argv) + [
+        f"# q: {_fmt17(grid.q)}",
+        f"# n: {grid.n}",
+        f"# constraint: {grid.constraint}",
+        "v,p,value",
+    ]
+    axis = [_fmt17(a) for a in grid.axis]
+    for vi, row in zip(axis, grid.values):
+        lines += [f"{vi},{aj},{_fmt17(x)}" for aj, x in zip(axis, row)]
+    return _reference_csv(lines)
+
+
+def _reference_mz(argv: list[str], fmt: str, bloch: str, phases: int) -> str:
+    inside = apply_beam_splitter(QubitState.from_bloch(*map(float, bloch.split(","))))
+    scan = fringe_scan(inside, phases)
+    rows = list(zip(scan.phases, scan.p_d1, scan.p_d2))
+    if fmt == "json":
+        return _reference_json({
+            "meta": _meta_dict(RunConfig(), argv),
+            "rows": [{"phi": phi, "p_d1": p1, "p_d2": p2} for phi, p1, p2 in rows],
+            "p_max": scan.p_max,
+            "p_min": scan.p_min,
+            "v_operational": scan.v_operational,
+            "visibility_analytic": visibility(inside),
+        })
+    lines = _meta_lines(RunConfig(), argv) + ["phi,p_d1,p_d2"]
+    lines += [f"{_fmt17(phi)},{_fmt17(p1)},{_fmt17(p2)}" for phi, p1, p2 in rows]
+    lines += [
+        f"# p_max: {_fmt17(scan.p_max)}",
+        f"# p_min: {_fmt17(scan.p_min)}",
+        f"# v_operational: {_fmt17(scan.v_operational)}",
+        f"# visibility_analytic: {_fmt17(visibility(inside))}",
+    ]
+    return _reference_csv(lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("q", ["0.3", "1", "2"])
+@pytest.mark.parametrize("n", [32, 47, 100])
+def test_contour_bytes_match_reference_serializer(capsys, fmt, q, n):
+    argv = ["--format", fmt, "contour", "--q", q, "--n", str(n)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # bytes, so that a failure reports the first differing offset, not a text diff
+    assert out.encode("utf-8") == _reference_contour(argv, fmt, float(q), n).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bloch", ["0,0,1", "0.6,0,0.8", "-0.3,0.2,-0.1"])
+@pytest.mark.parametrize("phases", [8, 13, 997])
+def test_mz_bytes_match_reference_serializer(capsys, fmt, bloch, phases):
+    argv = ["--format", fmt, "mz", f"--bloch={bloch}", "--phases", str(phases)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == _reference_mz(argv, fmt, bloch, phases).encode("utf-8")
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1]
+
+
+def test_csv_row_emitter_matches_format():
+    xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0, math.inf, -math.inf, math.nan]
+    assert _g17(xs) == [format(x, ".17g") for x in xs]
+    assert _g17(EDGE_FLOATS) == [
+        "-0", "4.9406564584124654e-324", "10000000000000000", "9.9999999999999995e-08",
+        "0.10000000000000001",
+    ]
+    assert _g17([]) == []
+
+
+def test_json_row_emitter_matches_json_dumps():
+    xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0, math.inf, -math.inf, math.nan]
+    assert _json_floats(xs) == [json.dumps(x) for x in xs]
+    assert _json_floats(EDGE_FLOATS) == ["-0.0", "5e-324", "1e+16", "1e-07", "0.1"]
+    assert _json_floats([]) == []
+
+
+def test_symmetric_rows_match_per_cell_formatting():
+    h = np.array(EDGE_FLOATS)
+    values = h[:, None] + h[None, :]
+    assert np.array_equal(values, values.T)
+    for fmt_row, fmt_cell in ((_g17, lambda x: format(x, ".17g")), (_json_floats, json.dumps)):
+        rows = list(_symmetric_rows(values, fmt_row))
+        assert rows == [[fmt_cell(x) for x in row] for row in values.tolist()]
+
+
+def test_json_chunks_match_json_dumps():
+    payload = {
+        "meta": {"a": [1, "x"], "b": {}, "c": []},
+        "empty": _JsonArray([]),
+        "floats": _JsonArray(_json_floats(EDGE_FLOATS)),
+        "n": 3,
+    }
+    plain = dict(payload, empty=[], floats=EDGE_FLOATS)
+    assert "".join(_json_chunks(payload)) == _reference_json(plain)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [["contour", "--n", "47", "--q", "0.3"], ["mz", "--bloch", "0.6,0,0.8", "--phases", "13"]],
+    ids=["contour", "mz"],
+)
+def test_out_bytes_equal_stdout_bytes(tmp_path, capsys, fmt, argv):
+    argv = ["--format", fmt, *argv]
+    target = tmp_path / f"out.{fmt}"
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    # the echoed command line is the only difference
+    echoed = " ".join(argv)
+    want = stdout.replace(echoed, f"{echoed} --out {target}", 1)
+    assert target.read_bytes() == want.encode("utf-8")
