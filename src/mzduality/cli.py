@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -43,7 +44,7 @@ from .entropic import (
     random_pure_bloch,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
-from .qubit import EPS_POS, BlochVector, QubitState
+from .qubit import EPS_POS, BlochVector, QubitState, _row_norms_sq
 from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 
 TOLERANCE_DEFAULTS = {
@@ -115,7 +116,10 @@ def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: parsing leaves the parser and its defaults
+    # unchanged (append actions copy their default list before appending)
     parser = _Parser(prog="mzduality", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"mzduality {__version__}")
     _add_common(parser, suppress=False)
@@ -372,7 +376,7 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
 
 def _checked_rows(s: np.ndarray, eps_pos: float) -> np.ndarray:
     """BlochVector's rule per row: rescale norms in (1, 1 + eps_pos] in place, reject larger."""
-    norm = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
+    norm = np.sqrt(_row_norms_sq(s))
     bad = np.flatnonzero(~(norm <= 1.0 + eps_pos))
     if bad.size:
         BlochVector(*s[bad[0]], eps_pos=eps_pos)  # raises: same norm expression

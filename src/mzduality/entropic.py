@@ -27,10 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import BlochObservable, BlochVector, ProbPair, QubitState, probabilities
+from .qubit import (
+    BlochObservable,
+    BlochVector,
+    ProbPair,
+    QubitState,
+    _row_norms_sq,
+    probabilities,
+)
 
 LN2 = math.log(2.0)
 SHANNON_WINDOW = 1e-7  # |q - 1| below this evaluates the Shannon limit
+EXPM1_BAND = 0.1  # |q - 1| below this (outside the window) takes the expm1/log1p form
 BAND_EPS = 1e-6  # half-width of the regime-II band around q*
 Q_STAR_BRACKET = (1.01, 2.0)
 MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
@@ -63,6 +71,15 @@ def _two_outcome_entropy(p_hi: float, p_lo: float, q: float) -> float:
         for p in (p_hi, p_lo):
             if p > 0.0:
                 h -= p * math.log(p)
+    elif abs(q - 1.0) < EXPM1_BAND:
+        # sum p^q = 1 + sum p expm1((q-1) ln p), whose terms share one sign;
+        # ln(sum p^q) / (1-q) would lose about 2.4e-16 / |1-q| to cancellation
+        d = q - 1.0
+        s = 0.0
+        for p in (p_hi, p_lo):
+            if p > 0.0:
+                s += p * math.expm1(d * math.log(p))
+        h = -math.log1p(s) / d
     else:
         h = math.log(p_hi**q + p_lo**q) / (1.0 - q)
     # mathematically h lies in [0, ln 2]; clamp round-off (and kill -0.0)
@@ -75,24 +92,48 @@ def _bias_entropy(x: float, q: float) -> float:
 
 
 def _bias_entropy_vec(x: np.ndarray, q: float) -> np.ndarray:
-    # vectorized mirror of _bias_entropy, same branch structure
-    p = (1.0 + x) / 2.0
-    m = (1.0 - x) / 2.0
+    # vectorized mirror of _bias_entropy, same branch structure; the
+    # in-place steps round exactly like the expressions they stand for
+    p = 1.0 + x
+    p /= 2.0
+    m = 1.0 - x
+    m /= 2.0
     if q == math.inf:
         h = -np.log(np.maximum(p, m))
     elif abs(q - 1.0) < SHANNON_WINDOW:
         h = -(p * np.log(p))  # p >= 1/2, always positive
         h = h - np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
+    elif abs(q - 1.0) < EXPM1_BAND:
+        d = q - 1.0
+        h = np.log(p)
+        h *= d
+        np.expm1(h, out=h)
+        h *= p
+        t = np.log(np.where(m > 0.0, m, 1.0))  # a zero m adds m * expm1(0) = 0
+        t *= d
+        np.expm1(t, out=t)
+        t *= m
+        h += t
+        np.log1p(h, out=h)
+        h /= -d
     else:
-        h = np.log(p**q + m**q) / (1.0 - q)
-    return np.clip(h, 0.0, LN2) + 0.0
+        p **= q
+        m **= q
+        p += m
+        h = np.log(p, out=p)
+        h /= 1.0 - q
+    np.clip(h, 0.0, LN2, out=h)
+    h += 0.0
+    return h
 
 
 def renyi_entropy(probs: ProbPair, q: float) -> float:
     """Renyi entropy H_q = ln(p+^q + p-^q)/(1-q) of a two-outcome distribution.
 
     q = 1 (within a 1e-7 window) evaluates the Shannon limit -sum p ln p
-    with the 0 ln 0 = 0 convention; q = math.inf gives the min-entropy
+    with the 0 ln 0 = 0 convention; elsewhere within 0.1 of 1 the same
+    value is computed as -log1p(sum p expm1((q-1) ln p))/(q-1), which keeps
+    full precision as q approaches 1; q = math.inf gives the min-entropy
     -ln(max p). Rejects q <= 0. Values lie in [0, ln 2], monotonically
     nonincreasing in q.
     """
@@ -218,14 +259,14 @@ def brute_force_min(
     if n_states < 10_000:
         raise ValueError(f"n_states must be at least 10000, got {n_states}")
     psi = np.linspace(0.0, _HALF_PI, n_states)
-    vals = _bias_entropy_vec(np.cos(psi), q) + _bias_entropy_vec(np.sin(psi), q)
+    vals = _bias_entropy_vec(np.cos(psi), q)
+    vals += _bias_entropy_vec(np.sin(psi), q)
     best = float(vals.min())
     if include_mixed:
         s = random_mixed_bloch(n_states, seed)
-        p = np.abs(s[:, 2])
-        v = np.hypot(s[:, 0], s[:, 1])
-        mixed_vals = _bias_entropy_vec(p, q) + _bias_entropy_vec(v, q)
-        best = min(best, float(mixed_vals.min()))
+        vals = _bias_entropy_vec(np.abs(s[:, 2]), q)
+        vals += _bias_entropy_vec(np.hypot(s[:, 0], s[:, 1]), q)
+        best = min(best, float(vals.min()))
     return best
 
 
@@ -303,7 +344,8 @@ def constrained_min_over_region(
 ) -> RegionMinimum:
     """Minimize H_q(P) + H_q(V) over states accepted by a region predicate.
 
-    ``region`` is a callable BlochVector -> bool. Candidates mix a
+    ``region`` is a callable BlochVector -> bool, called once per candidate
+    in candidate order. Candidates mix a
     deterministic great-circle sweep in the x-z plane (hitting the cardinal
     states exactly), a seeded uniform sample of the sphere, and a seeded
     uniform sample of the ball, roughly n_samples in total. Raises if the
@@ -324,33 +366,42 @@ def constrained_min_over_region(
         [sweep, random_pure_bloch(sphere_n, seed), random_mixed_bloch(ball_n, seed + 1)]
     )
 
+    accepted = []
+    for x, y, z in candidates.tolist():
+        bv = BlochVector(x, y, z)
+        if region(bv):
+            accepted.append(bv)
+    if not accepted:
+        raise ValueError("region predicate rejected every sampled state")
+
+    # The array evaluator ranks the accepted states; it may differ from the
+    # scalar one in the last bits, so the scalar values decide among the
+    # states it puts within 1e-12 of its minimum, first strict minimum kept.
+    p = np.array([abs(bv.sz) for bv in accepted])
+    v = np.array([math.hypot(bv.sx, bv.sy) for bv in accepted])
+    vals = _bias_entropy_vec(p, q)
+    vals += _bias_entropy_vec(v, q)
     best_val = math.inf
-    best: BlochVector | None = None
-    n_accepted = 0
-    for x, y, z in candidates:
-        bv = BlochVector(float(x), float(y), float(z))
-        if not region(bv):
-            continue
-        n_accepted += 1
+    for i in np.flatnonzero(vals <= vals.min() + 1e-12).tolist():
+        bv = accepted[i]
         val = _bias_entropy(abs(bv.sz), q) + _bias_entropy(math.hypot(bv.sx, bv.sy), q)
         if val < best_val:
             best_val = val
             best = bv
-    if best is None:
-        raise ValueError("region predicate rejected every sampled state")
-    return RegionMinimum(min_value=best_val, argmin=best, n_accepted=n_accepted)
+    return RegionMinimum(min_value=best_val, argmin=best, n_accepted=len(accepted))
 
 
 def random_pure_bloch(n: int, seed: int) -> np.ndarray:
     """n uniform points on the unit sphere: Gaussian draws, normalized."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.sqrt(_row_norms_sq(v))
     while np.any(norms < 1e-12):  # essentially impossible, but stay total
         bad = norms < 1e-12
         v[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+        norms = np.sqrt(_row_norms_sq(v))
+    v /= norms[:, None]
+    return v
 
 
 def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
@@ -360,7 +411,7 @@ def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
     have = 0
     while have < n:
         batch = rng.uniform(-1.0, 1.0, size=(max(n - have, 64) * 2, 3))
-        keep = batch[(batch * batch).sum(axis=1) <= 1.0]
-        rows.append(keep)
-        have += len(keep)
+        batch = batch.compress(_row_norms_sq(batch) <= 1.0, axis=0)  # frees the draws
+        rows.append(batch)
+        have += len(batch)
     return np.vstack(rows)[:n]

@@ -36,7 +36,7 @@ def _cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlochVector:
     """Real 3-vector inside the unit ball; the full parametrization of a qubit state.
 
@@ -48,21 +48,22 @@ class BlochVector:
     sx: float
     sy: float
     sz: float
-    eps_pos: InitVar[float] = EPS_POS
 
-    def __post_init__(self, eps_pos: float) -> None:
-        for name in ("sx", "sy", "sz"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        n = math.sqrt(self.sx * self.sx + self.sy * self.sy + self.sz * self.sz)
+    def __init__(self, sx: float, sy: float, sz: float, eps_pos: float = EPS_POS) -> None:
+        sx, sy, sz = float(sx), float(sy), float(sz)
+        n = math.sqrt(sx * sx + sy * sy + sz * sz)
         if not n <= 1.0 + eps_pos:  # also rejects NaN components
             raise ValueError(
                 f"Bloch norm exceeds 1: ||s|| = {n!r} violates the positivity "
                 "invariant ||s|| <= 1"
             )
         if n > 1.0:
-            object.__setattr__(self, "sx", self.sx / n)
-            object.__setattr__(self, "sy", self.sy / n)
-            object.__setattr__(self, "sz", self.sz / n)
+            sx, sy, sz = sx / n, sy / n, sz / n
+        # frozen, so the fields go straight into the instance dict, once each
+        fields = self.__dict__
+        fields["sx"] = sx
+        fields["sy"] = sy
+        fields["sz"] = sz
 
     @property
     def norm(self) -> float:
@@ -82,6 +83,17 @@ class BlochVector:
     def from_dict(cls, data: dict) -> "BlochVector":
         sx, sy, sz = data["s"]
         return cls(float(sx), float(sy), float(sz))
+
+
+def _row_norms_sq(rows):
+    """sx*sx + sy*sy + sz*sz for each row of an (n, 3) array, BlochVector's norm order.
+
+    Bit for bit the row sums of ``rows * rows`` and the squares that
+    ``np.linalg.norm(rows, axis=1)`` takes the root of, without the
+    (n, 3) temporary or the row-wise reduction.
+    """
+    x, y, z = rows.T
+    return x * x + y * y + z * z
 
 
 @dataclass(frozen=True)

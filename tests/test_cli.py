@@ -35,6 +35,7 @@ from mzduality.cli import (
     _meta_dict,
     _meta_lines,
     _symmetric_rows,
+    build_parser,
     main,
 )
 from mzduality.qubit import EPS_POS
@@ -132,6 +133,20 @@ def test_unknown_tolerance_name(capsys):
     code, _, err = run(capsys, "--tolerance", "eps_bogus=1", "state", "--bloch", "0,0,0")
     assert code == 1
     assert "eps_bogus" in err
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_reused_parser_starts_each_run_from_the_defaults(capsys, where):
+    assert build_parser() is build_parser()
+    override = ["--tolerance", "eps_gap=0.3", "--seed", "7", "--format", "json"]
+    argv = ["verify", "--n", "20"]
+    first = override + argv if where == "before" else argv + override
+    _, out, _ = run(capsys, *first)  # exit 2: eps_gap = 0.3 splits the saturation verdicts
+    meta = json.loads(out)["meta"]
+    assert (meta["seed"], meta["tolerances"]["eps_gap"]) == (7, 0.3)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[2:4] == _meta_lines(RunConfig(), argv)[2:4]
 
 
 def test_mz_fringe_csv(capsys):

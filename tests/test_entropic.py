@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzduality import (
     LN2,
     BlochObservable,
+    BlochVector,
     ProbPair,
     QubitState,
     brute_force_min,
@@ -33,6 +35,7 @@ from mzduality import (
     visibility,
     visibility_op,
 )
+from mzduality.entropic import _bias_entropy, _bias_entropy_vec
 
 INV_SQRT2 = 2.0**-0.5
 TWO_LN2 = 2.0 * LN2
@@ -43,6 +46,16 @@ H1_BALANCED = 0.4164955306996875
 H2_BALANCED = LN_4_3
 # root of 2 H_q(1/sqrt 2) = ln 2, found independently by bracketed bisection
 Q_STAR = 1.4313558811842468
+
+
+def decimal_bias_entropy(x: float, q: float) -> float:
+    """H_q of {(1+x)/2, (1-x)/2} from 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xd, qd = Decimal(x), Decimal(q)
+        total = sum(p**qd for p in ((1 + xd) / 2, (1 - xd) / 2) if p > 0)
+        return float(total.ln() / (1 - qd))
+
 
 UNBIASED_PAIR = ProbPair((1.0 + INV_SQRT2) / 2.0, (1.0 - INV_SQRT2) / 2.0)
 UNIFORM_PAIR = ProbPair(0.5, 0.5)
@@ -78,6 +91,19 @@ class TestRenyiEntropy:
         h1 = renyi_entropy(UNBIASED_PAIR, 1.0)
         assert abs(renyi_entropy(UNBIASED_PAIR, 1.0 + 1e-6) - h1) < 1e-5
         assert abs(renyi_entropy(UNBIASED_PAIR, 1.0 - 1e-6) - h1) < 1e-5
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_accurate_next_to_shannon_window(self, k, sign):
+        # ln(sum p^q) / (1-q) is off by about 2.4e-16 / |1-q| here: 2.4e-10
+        # at k = 6; 4e-15 also covers q = 1.1, which lies just outside the band
+        q = 1.0 + sign * 10.0**-k
+        xs = [0.0, 1e-3, 0.1, 0.5, INV_SQRT2, 0.9, 0.999, 0.999999, 1.0]
+        vec = _bias_entropy_vec(np.array(xs), q)
+        for x, h_vec in zip(xs, vec):
+            want = decimal_bias_entropy(x, q)
+            assert abs(_bias_entropy(x, q) - want) <= 4e-15
+            assert abs(h_vec - want) <= 4e-15
 
     def test_rejects_bad_index(self):
         for q in (0.0, -1.0, math.nan):
@@ -177,6 +203,7 @@ class TestMinimizeEntropySum:
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 2.0, exclude_min=True))
+    @example(0.9998184675650184)  # ln(sum p^q) / (1-q) undercut ln 2 by 1.2e-12 here
     def test_matches_dense_arc_scan(self, q):
         res = minimize_entropy_sum(q)
         gap = brute_force_min(q, 10_000, False) - res.min_value
@@ -389,3 +416,120 @@ class TestSampling:
     def test_zero_requests(self):
         assert random_pure_bloch(0, 1).shape == (0, 3)
         assert random_mixed_bloch(0, 1).shape == (0, 3)
+
+
+# ---- bit-identity references: the expressions the array paths replaced ----
+
+
+def reference_pure_bloch(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, 3))
+    norms = np.linalg.norm(v, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        v[bad] = rng.normal(size=(int(bad.sum()), 3))
+        norms = np.linalg.norm(v, axis=1)
+    return v / norms[:, None]
+
+
+def reference_mixed_bloch(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = [np.empty((0, 3))]
+    have = 0
+    while have < n:
+        batch = rng.uniform(-1.0, 1.0, size=(max(n - have, 64) * 2, 3))
+        keep = batch[(batch * batch).sum(axis=1) <= 1.0]
+        rows.append(keep)
+        have += len(keep)
+    return np.vstack(rows)[:n]
+
+
+def reference_bias_entropy_vec(x, q):
+    p = (1.0 + x) / 2.0
+    m = (1.0 - x) / 2.0
+    if q == math.inf:
+        h = -np.log(np.maximum(p, m))
+    elif abs(q - 1.0) < 1e-7:
+        h = -(p * np.log(p))
+        h = h - np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
+    else:
+        h = np.log(p**q + m**q) / (1.0 - q)
+    return np.clip(h, 0.0, LN2) + 0.0
+
+
+def reference_region_min(q, region, n_samples, seed):
+    """One BlochVector and one scalar evaluation per numpy candidate row."""
+    base = n_samples // 3
+    sweep_n = max(4, base - base % 4)
+    ball_n = max(n_samples - sweep_n - base, 1)
+    psi = np.linspace(0.0, 2.0 * math.pi, sweep_n, endpoint=False)
+    sweep = np.column_stack([np.sin(psi), np.zeros(sweep_n), np.cos(psi)])
+    candidates = np.vstack(
+        [sweep, reference_pure_bloch(base, seed), reference_mixed_bloch(ball_n, seed + 1)]
+    )
+    best_val, best, n_accepted = math.inf, None, 0
+    for x, y, z in candidates:
+        bv = BlochVector(float(x), float(y), float(z))
+        if not region(bv):
+            continue
+        n_accepted += 1
+        val = _bias_entropy(abs(bv.sz), q) + _bias_entropy(math.hypot(bv.sx, bv.sy), q)
+        if val < best_val:
+            best_val, best = val, bv
+    return best_val, best, n_accepted
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class Recorded:
+    """Region predicate that logs every state it is called with."""
+
+    def __init__(self, accept):
+        self.accept = accept
+        self.calls = []
+
+    def __call__(self, bv):
+        self.calls.append(bv.as_tuple())
+        return self.accept(bv)
+
+
+REGIONS = {
+    # the sphere and the whole ball tie exactly at the cardinal sweep states
+    "sphere": lambda bv: abs(bv.norm - 1.0) <= 1e-9,
+    "equator": lambda bv: abs(bv.sz) <= 1e-3,
+    "half_space": lambda bv: 0.48 * bv.sx - 0.6 * bv.sy + 0.64 * bv.sz >= 0.1,
+    "everything": lambda bv: True,
+}
+
+
+class TestArrayPathsKeepBits:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 100_000])
+    def test_samplers(self, n):
+        for seed in range(5):
+            assert same_bits(random_pure_bloch(n, seed), reference_pure_bloch(n, seed))
+            assert same_bits(random_mixed_bloch(n, seed), reference_mixed_bloch(n, seed))
+
+    @pytest.mark.parametrize(
+        "q", [0.05, 0.3, 0.5, 0.85, 1.0, 1.0 + 5e-8, 1.1, 1.2, Q_STAR, 1.5, 2.0, 3.0, 7.5, math.inf]
+    )
+    def test_array_evaluator_outside_the_expm1_band(self, q):
+        rng = np.random.default_rng(9)
+        x = np.concatenate(
+            [rng.uniform(0.0, 1.0, 10_000), [0.0, 5e-324, INV_SQRT2, 1.0 - 2.0**-53, 1.0]]
+        )
+        before = x.copy()
+        assert same_bits(_bias_entropy_vec(x, q), reference_bias_entropy_vec(x, q))
+        assert same_bits(x, before)
+
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    @pytest.mark.parametrize("q", [0.3, 1.0 - 1e-4, 1.0, 1.0 + 1e-6, Q_STAR, 2.0])
+    def test_region_minimum(self, region, q):
+        got_calls, want_calls = Recorded(REGIONS[region]), Recorded(REGIONS[region])
+        got = constrained_min_over_region(q, got_calls, 3_000, seed=5)
+        want_val, want_argmin, want_n = reference_region_min(q, want_calls, 3_000, 5)
+        assert got_calls.calls == want_calls.calls
+        assert repr(got.min_value) == repr(want_val)
+        assert got.argmin.as_tuple() == want_argmin.as_tuple()
+        assert got.n_accepted == want_n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -52,6 +53,29 @@ class TestBlochVector:
             BlochVector(0.0, 0.0, 1.001)
         v = BlochVector(0.0, 0.0, 1.001, eps_pos=1e-2)
         assert v.norm == 1.0
+
+    def test_matches_the_field_by_field_rule(self):
+        # BlochVector's norm rule written out on plain floats
+        def reference(sx, sy, sz, eps_pos=1e-9):
+            n = math.sqrt(sx * sx + sy * sy + sz * sz)
+            if not n <= 1.0 + eps_pos:
+                return None
+            return (sx / n, sy / n, sz / n) if n > 1.0 else (sx, sy, sz)
+
+        rows = np.random.default_rng(3).normal(size=(2000, 3))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows[::3] *= 1.0 + 1e-10  # norms in (1, 1 + eps_pos]: rescaled
+        rows[1::3] *= 0.5
+        rows[2::7] *= 1.001  # beyond eps_pos: rejected
+        for sx, sy, sz in rows.tolist():
+            want = reference(sx, sy, sz)
+            if want is None:
+                with pytest.raises(ValueError, match="Bloch norm exceeds 1"):
+                    BlochVector(sx, sy, sz)
+            else:
+                assert BlochVector(np.float64(sx), sy, sz).as_tuple() == want
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            BlochVector(0.0, 0.0, 1.0).sx = 0.5
 
     def test_components_coerced_to_float(self):
         v = BlochVector(0, 0, 1)
