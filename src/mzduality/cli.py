@@ -537,8 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[ns.command](ns, cfg, argv)
-    except (ValueError, OSError) as exc:
-        print(f"mzduality: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; numpy's names the array it refused
+        print(f"mzduality: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -44,6 +44,7 @@ Q_STAR_BRACKET = (1.01, 2.0)
 MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
 
 _HALF_PI = math.pi / 2.0
+_BLOCK = 1 << 15  # rows per block of the oracle and the ball sampler: 768 kB of (x, y, z)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -250,23 +251,30 @@ def brute_force_min(
     The pure-state part sweeps the quarter circle (P, V) = (cos a, sin a)
     on a dense equispaced grid with both endpoints included, so the
     boundary minimizers are evaluated exactly; resolution error elsewhere
-    is O((pi / 2 / n_states)^2). With include_mixed, a seeded uniform
-    sample of the open Bloch ball is swept as well (it can only confirm,
-    never undercut, the pure minimum, because entropies grow toward the
-    center of the ball).
+    is O((pi / 2 / n_states)^2). With include_mixed, the states of
+    ``random_mixed_bloch(n_states, seed)``, a uniform sample of the closed
+    Bloch ball, are swept as well (they can only confirm, never undercut,
+    the pure minimum, because entropies grow toward the center of the ball).
+
+    Both sweeps run over blocks of at most ``_BLOCK`` states and keep a
+    running minimum, so the temporaries stay cache-sized; the minimum is
+    exact, so the result does not depend on the block size.
     """
     _check_q_minimization(q)
     if n_states < 10_000:
         raise ValueError(f"n_states must be at least 10000, got {n_states}")
-    psi = np.linspace(0.0, _HALF_PI, n_states)
-    vals = _bias_entropy_vec(np.cos(psi), q)
-    vals += _bias_entropy_vec(np.sin(psi), q)
-    best = float(vals.min())
-    if include_mixed:
-        s = random_mixed_bloch(n_states, seed)
-        vals = _bias_entropy_vec(np.abs(s[:, 2]), q)
-        vals += _bias_entropy_vec(np.hypot(s[:, 0], s[:, 1]), q)
+    best = math.inf
+    psi = np.linspace(0.0, _HALF_PI, n_states)  # once: its bits are numpy's formula
+    for start in range(0, n_states, _BLOCK):
+        a = psi[start : start + _BLOCK]
+        vals = _bias_entropy_vec(np.cos(a), q)
+        vals += _bias_entropy_vec(np.sin(a), q)
         best = min(best, float(vals.min()))
+    if include_mixed:
+        for s in _mixed_blocks(n_states, seed):
+            vals = _bias_entropy_vec(np.abs(s[:, 2]), q)
+            vals += _bias_entropy_vec(np.hypot(s[:, 0], s[:, 1]), q)
+            best = min(best, float(vals.min()))
     return best
 
 
@@ -391,8 +399,14 @@ def constrained_min_over_region(
     return RegionMinimum(min_value=best_val, argmin=best, n_accepted=len(accepted))
 
 
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+
 def random_pure_bloch(n: int, seed: int) -> np.ndarray:
     """n uniform points on the unit sphere: Gaussian draws, normalized."""
+    _check_n(n)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
     norms = np.sqrt(_row_norms_sq(v))
@@ -404,14 +418,35 @@ def random_pure_bloch(n: int, seed: int) -> np.ndarray:
     return v
 
 
-def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
-    """n uniform points in the closed unit ball, by rejection from the cube."""
+def _mixed_blocks(n: int, seed: int):
+    """Yield the rows of ``random_mixed_bloch(n, seed)`` in order, in blocks.
+
+    The samples are the first n rows of the seeded stream of cube points
+    that fall in the ball. A uniform draw takes one double per element, so
+    the draw sizes, ``min(2 * max(n - have, 64), _BLOCK)`` rows, change
+    only how far past the n-th kept row the generator runs.
+    """
     rng = np.random.default_rng(seed)
-    rows = [np.empty((0, 3))]
     have = 0
     while have < n:
-        batch = rng.uniform(-1.0, 1.0, size=(max(n - have, 64) * 2, 3))
-        batch = batch.compress(_row_norms_sq(batch) <= 1.0, axis=0)  # frees the draws
-        rows.append(batch)
-        have += len(batch)
-    return np.vstack(rows)[:n]
+        block = rng.random(size=(min(max(n - have, 64) * 2, _BLOCK), 3))
+        block *= 2.0  # exact, so this is uniform(-1, 1)'s -1 + 2u
+        block -= 1.0
+        block = block.compress(_row_norms_sq(block) <= 1.0, axis=0)[: n - have]
+        have += len(block)
+        yield block
+
+
+def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
+    """n uniform points in the closed unit ball, by rejection from the cube.
+
+    Rows come from ``_mixed_blocks``, so beyond the (n, 3) result only one
+    block of draws is held at a time.
+    """
+    _check_n(n)
+    out = np.empty((n, 3))
+    have = 0
+    for piece in _mixed_blocks(n, seed):
+        out[have : have + len(piece)] = piece
+        have += len(piece)
+    return out

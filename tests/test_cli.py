@@ -25,6 +25,7 @@ from mzduality import (
     random_pure_bloch,
     visibility,
 )
+from mzduality import cli
 from mzduality.cli import (
     RunConfig,
     _checked_rows,
@@ -425,6 +426,34 @@ def test_output_matches_golden_bytes(capsys, name, fmt):
     code, out, _ = run(capsys, "--format", fmt, *GOLDEN_ARGV[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("target", "argv"),
+    [
+        ("contour_grid", ["contour", "--n", "3000000"]),
+        ("contour_grid", ["--format", "json", "contour", "--n", "3000000"]),
+        ("random_pure_bloch", ["verify", "--n", "100000000000"]),
+    ],
+)
+@pytest.mark.parametrize(
+    ("exc", "message"),
+    [
+        (MemoryError("Unable to allocate 65.5 TiB"), "Unable to allocate 65.5 TiB"),
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["with-message", "bare"],
+)
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, target, argv, exc, message):
+    # the kernel is replaced, so nothing huge is ever allocated
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, target, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"mzduality: error: {message}\n"
 
 
 @pytest.mark.parametrize(

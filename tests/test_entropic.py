@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -417,6 +418,36 @@ class TestSampling:
         assert random_pure_bloch(0, 1).shape == (0, 3)
         assert random_mixed_bloch(0, 1).shape == (0, 3)
 
+    @pytest.mark.parametrize("sampler", [random_pure_bloch, random_mixed_bloch])
+    def test_negative_requests_are_rejected(self, sampler):
+        with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
+            sampler(-1, 1)
+
+
+class TestMemoryBound:
+    """The oracle and the ball sampler hold one block of states at a time.
+
+    numpy reports its buffers to tracemalloc, so the peaks are exact. The
+    whole-array code peaked at 99.5 MB and 83.5 MB.
+    """
+
+    @staticmethod
+    def traced_peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_brute_force_min(self):
+        # the 8 MB arc grid plus one block of temporaries
+        assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 16e6
+
+    def test_random_mixed_bloch(self):
+        # the 24 MB result plus one block of draws
+        assert self.traced_peak(random_mixed_bloch, 10**6, 3) < 32e6
+
 
 # ---- bit-identity references: the expressions the array paths replaced ----
 
@@ -442,6 +473,20 @@ def reference_mixed_bloch(n, seed):
         rows.append(keep)
         have += len(keep)
     return np.vstack(rows)[:n]
+
+
+def reference_brute_force_min(q, n_states, include_mixed, seed):
+    """The whole-array sweeps: every arc point, then every ball sample, at once."""
+    psi = np.linspace(0.0, math.pi / 2.0, n_states)
+    vals = _bias_entropy_vec(np.cos(psi), q)
+    vals += _bias_entropy_vec(np.sin(psi), q)
+    best = float(vals.min())
+    if include_mixed:
+        s = reference_mixed_bloch(n_states, seed)
+        vals = _bias_entropy_vec(np.abs(s[:, 2]), q)
+        vals += _bias_entropy_vec(np.hypot(s[:, 0], s[:, 1]), q)
+        best = min(best, float(vals.min()))
+    return best
 
 
 def reference_bias_entropy_vec(x, q):
@@ -505,7 +550,10 @@ REGIONS = {
 
 
 class TestArrayPathsKeepBits:
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 100_000])
+    # around 2**14 the ball sampler's first draw reaches its 2**15-row cap
+    @pytest.mark.parametrize(
+        "n", [0, 1, 63, 64, 65, 100_000, 16_383, 16_384, 16_385, 32_768, 10**6]
+    )
     def test_samplers(self, n):
         for seed in range(5):
             assert same_bits(random_pure_bloch(n, seed), reference_pure_bloch(n, seed))
@@ -533,3 +581,12 @@ class TestArrayPathsKeepBits:
         assert repr(got.min_value) == repr(want_val)
         assert got.argmin.as_tuple() == want_argmin.as_tuple()
         assert got.n_accepted == want_n
+
+    @pytest.mark.parametrize("n_states", [10_000, 16_383, 16_384, 16_385, 32_768, 65_537, 250_001])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.95, 1.0, 1.05, Q_STAR, 2.0])
+    def test_brute_force_min(self, q, n_states):
+        for include_mixed in (False, True):
+            for seed in range(3):
+                got = brute_force_min(q, n_states, include_mixed, seed=seed)
+                want = reference_brute_force_min(q, n_states, include_mixed, seed)
+                assert repr(got) == repr(want)
