@@ -13,7 +13,8 @@ output; the JSON text is exactly ``json.dumps(payload, indent=2)`` plus a
 newline. Large tables are formatted and written a row at a time, after
 all computation and validation are done. Angles are radians; floats are
 printed with 17 significant digits. Exit codes: 0 success, 1 usage or
-validation error, 2 property violation detected by verify.
+validation error, or stdout closed by its reader (nothing more is written
+and stderr stays empty), 2 property violation detected by verify.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -344,9 +346,7 @@ def cmd_state(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
-    sx, sy, sz = _parse_triple(ns.bloch, "--bloch")
-    source = QubitState.from_bloch(sx, sy, sz, eps_pos=cfg.tolerances["eps_pos"])
-    inside = apply_beam_splitter(source)
+    inside = apply_beam_splitter(_state_from_args(ns, cfg))
     scan = fringe_scan(inside, ns.phases)
     v_analytic = visibility(inside)
     if cfg.output_format == "json":
@@ -530,13 +530,24 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
+    args: list[str] = []
+    for arg in argv:  # "--bloch V" as "--bloch=V": argparse reads "-1,0,0" as an option
+        if args and args[-1] in ("--bloch", "--wrt"):
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(args)
         cfg = _resolve_config(ns, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return _COMMANDS[ns.command](ns, cfg, argv)
+    except BrokenPipeError:
+        # the reader is gone: per the signal module docs' SIGPIPE note, point
+        # stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message; numpy's names the array it refused
         print(f"mzduality: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -63,69 +63,73 @@ def _check_q_minimization(q: float) -> None:
         )
 
 
-def _two_outcome_entropy(p_hi: float, p_lo: float, q: float) -> float:
-    # core evaluator; assumes a valid normalized pair and q > 0 or q = inf
+class _Floats:
+    """The numpy functions ``_entropy`` calls, done by math so floats keep math's bits."""
+
+    log = staticmethod(lambda x, out=None: math.log(x))
+    expm1 = staticmethod(lambda x, out=None: math.expm1(x))
+    log1p = staticmethod(lambda x, out=None: math.log1p(x))
+    clip = staticmethod(lambda x, lo, hi, out=None: max(lo, min(x, hi)))
+    where = staticmethod(lambda cond, a, b: a if cond else b)
+
+
+def _entropy(p, m, q):
+    """H_q of a normalized pair {p, m}, p >= m, for q > 0 or q = inf.
+
+    Arrays go through numpy, elementwise, and may be overwritten; anything
+    else goes through math, where ``out`` is ignored. The in-place steps
+    round exactly like the expressions they stand for.
+    """
+    xp = np if isinstance(p, np.ndarray) else _Floats
     if q == math.inf:
-        h = -math.log(max(p_hi, p_lo))
+        h = -xp.log(p)
     elif abs(q - 1.0) < SHANNON_WINDOW:
-        h = 0.0
-        for p in (p_hi, p_lo):
-            if p > 0.0:
-                h -= p * math.log(p)
+        h = -(p * xp.log(p))  # p >= 1/2, always positive
+        h -= m * xp.log(xp.where(m > 0.0, m, 1.0))  # a zero m adds 0 * ln 1 = 0
     elif abs(q - 1.0) < EXPM1_BAND:
         # sum p^q = 1 + sum p expm1((q-1) ln p), whose terms share one sign;
         # ln(sum p^q) / (1-q) would lose about 2.4e-16 / |1-q| to cancellation
         d = q - 1.0
-        s = 0.0
-        for p in (p_hi, p_lo):
-            if p > 0.0:
-                s += p * math.expm1(d * math.log(p))
-        h = -math.log1p(s) / d
+        h = xp.log(p)
+        h *= d
+        h = xp.expm1(h, out=h)
+        h *= p
+        t = xp.log(xp.where(m > 0.0, m, 1.0))  # a zero m adds m * expm1(0) = 0
+        t *= d
+        t = xp.expm1(t, out=t)
+        t *= m
+        h += t
+        h = xp.log1p(h, out=h)
+        h /= -d
     else:
-        h = math.log(p_hi**q + p_lo**q) / (1.0 - q)
+        # p >= 1/2, so p^q + m^q can underflow only when q ln 2 > 700; there
+        # the elements with q ln p < -700 take (q ln p + log1p((m/p)^q))/(1-q)
+        big = q * LN2 > 700.0
+        if big:
+            lse = q * xp.log(p)
+            deep = lse < -700.0
+            lse += xp.log1p((m / p) ** q)
+            p = xp.where(deep, 1.0, p)  # keeps the discarded direct form finite
+        p **= q
+        m **= q
+        p += m
+        h = xp.log(p, out=p)
+        if big:
+            h = xp.where(deep, lse, h)
+        h /= 1.0 - q
     # mathematically h lies in [0, ln 2]; clamp round-off (and kill -0.0)
-    return max(0.0, min(h, LN2)) + 0.0
+    h = xp.clip(h, 0.0, LN2, out=h)
+    h += 0.0
+    return h
 
 
-def _bias_entropy(x: float, q: float) -> float:
-    """Entropy of the pair {(1+x)/2, (1-x)/2} for bias x in [0, 1]."""
-    return _two_outcome_entropy((1.0 + x) / 2.0, (1.0 - x) / 2.0, q)
-
-
-def _bias_entropy_vec(x: np.ndarray, q: float) -> np.ndarray:
-    # vectorized mirror of _bias_entropy, same branch structure; the
-    # in-place steps round exactly like the expressions they stand for
+def _bias_entropy(x, q):
+    """Entropy of the pair {(1+x)/2, (1-x)/2} for biases x in [0, 1], a float or an array."""
     p = 1.0 + x
     p /= 2.0
     m = 1.0 - x
     m /= 2.0
-    if q == math.inf:
-        h = -np.log(np.maximum(p, m))
-    elif abs(q - 1.0) < SHANNON_WINDOW:
-        h = -(p * np.log(p))  # p >= 1/2, always positive
-        h = h - np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
-    elif abs(q - 1.0) < EXPM1_BAND:
-        d = q - 1.0
-        h = np.log(p)
-        h *= d
-        np.expm1(h, out=h)
-        h *= p
-        t = np.log(np.where(m > 0.0, m, 1.0))  # a zero m adds m * expm1(0) = 0
-        t *= d
-        np.expm1(t, out=t)
-        t *= m
-        h += t
-        np.log1p(h, out=h)
-        h /= -d
-    else:
-        p **= q
-        m **= q
-        p += m
-        h = np.log(p, out=p)
-        h /= 1.0 - q
-    np.clip(h, 0.0, LN2, out=h)
-    h += 0.0
-    return h
+    return _entropy(p, m, q)
 
 
 def renyi_entropy(probs: ProbPair, q: float) -> float:
@@ -134,12 +138,14 @@ def renyi_entropy(probs: ProbPair, q: float) -> float:
     q = 1 (within a 1e-7 window) evaluates the Shannon limit -sum p ln p
     with the 0 ln 0 = 0 convention; elsewhere within 0.1 of 1 the same
     value is computed as -log1p(sum p expm1((q-1) ln p))/(q-1), which keeps
-    full precision as q approaches 1; q = math.inf gives the min-entropy
-    -ln(max p). Rejects q <= 0. Values lie in [0, ln 2], monotonically
+    full precision as q approaches 1. Where p^q would underflow, q ln p <
+    -700 for the larger probability p (possible only for q ln 2 > 700), the
+    value is (q ln p + log1p((m/p)^q))/(1-q), m the smaller one. q =
+    math.inf gives the min-entropy -ln(max p). Rejects q <= 0. Values lie in [0, ln 2], monotonically
     nonincreasing in q.
     """
     _check_q(q)
-    return _two_outcome_entropy(probs.p_plus, probs.p_minus, q)
+    return _entropy(probs.max_prob, min(probs.as_tuple()), q)
 
 
 def entropy_of_observable(obs: BlochObservable, state: QubitState, q: float) -> float:
@@ -267,13 +273,13 @@ def brute_force_min(
     psi = np.linspace(0.0, _HALF_PI, n_states)  # once: its bits are numpy's formula
     for start in range(0, n_states, _BLOCK):
         a = psi[start : start + _BLOCK]
-        vals = _bias_entropy_vec(np.cos(a), q)
-        vals += _bias_entropy_vec(np.sin(a), q)
+        vals = _bias_entropy(np.cos(a), q)
+        vals += _bias_entropy(np.sin(a), q)
         best = min(best, float(vals.min()))
     if include_mixed:
         for s in _mixed_blocks(n_states, seed):
-            vals = _bias_entropy_vec(np.abs(s[:, 2]), q)
-            vals += _bias_entropy_vec(np.hypot(s[:, 0], s[:, 1]), q)
+            vals = _bias_entropy(np.abs(s[:, 2]), q)
+            vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
             best = min(best, float(vals.min()))
     return best
 
@@ -312,7 +318,7 @@ def contour_grid(q: float, n: int) -> ContourGrid:
     if n < 32:
         raise ValueError(f"n must be at least 32, got {n}")
     axis = np.linspace(0.0, 1.0, n)
-    h = _bias_entropy_vec(axis, q)
+    h = _bias_entropy(axis, q)
     values = h[:, None] + h[None, :]
     return ContourGrid(q=q, n=n, axis=axis, values=values)
 
@@ -382,13 +388,13 @@ def constrained_min_over_region(
     if not accepted:
         raise ValueError("region predicate rejected every sampled state")
 
-    # The array evaluator ranks the accepted states; it may differ from the
-    # scalar one in the last bits, so the scalar values decide among the
-    # states it puts within 1e-12 of its minimum, first strict minimum kept.
+    # Arrays rank the accepted states; numpy may differ from math in the
+    # last bits, so the float values decide among the states the arrays
+    # put within 1e-12 of their minimum, first strict minimum kept.
     p = np.array([abs(bv.sz) for bv in accepted])
     v = np.array([math.hypot(bv.sx, bv.sy) for bv in accepted])
-    vals = _bias_entropy_vec(p, q)
-    vals += _bias_entropy_vec(v, q)
+    vals = _bias_entropy(p, q)
+    vals += _bias_entropy(v, q)
     best_val = math.inf
     for i in np.flatnonzero(vals <= vals.min() + 1e-12).tolist():
         bv = accepted[i]

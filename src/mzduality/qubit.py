@@ -116,8 +116,10 @@ class QubitState:
         """Build from the (w+, r, theta) parametrization."""
         if not 0.0 <= w_plus <= 1.0:
             raise ValueError(f"w_plus must lie in [0, 1], got {w_plus!r}")
-        if r < 0.0:
-            raise ValueError(f"r must be nonnegative, got {r!r}")
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"r must be finite and nonnegative, got {r!r}")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
         return cls.from_bloch(
             2.0 * r * math.cos(theta), 2.0 * r * math.sin(theta), 2.0 * w_plus - 1.0
         )

@@ -50,6 +50,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def package_env() -> dict[str, str]:
+    """The environment of a child Python that imports this checkout's package."""
+    src_root = str(Path(mzduality.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src_root, os.environ.get("PYTHONPATH", "")]))
+
+
 def csv_values(out: str) -> dict[str, str]:
     rows = {}
     for line in out.splitlines():
@@ -112,6 +118,60 @@ def test_state_rejects_nan_component(capsys):
     assert out == ""
     assert err.startswith("mzduality: error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    ("wrt", "message"),
+    [
+        ("0.5,0.1,inf", "theta must be finite, got inf"),
+        ("0.5,0.1,nan", "theta must be finite, got nan"),
+        ("0.5,inf,0", "r must be finite and nonnegative, got inf"),
+        ("0.5,nan,0", "r must be finite and nonnegative, got nan"),
+    ],
+)
+def test_state_rejects_non_finite_wrt_by_name(capsys, wrt, message):
+    code, out, err = run(capsys, "state", "--wrt", wrt)
+    assert code == 1
+    assert out == ""
+    assert err == f"mzduality: error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    ("argv", "spelled"),
+    [
+        (["state", "--bloch", "-0.6,0,0.8"], ["state", "--bloch=-0.6,0,0.8"]),
+        (["mz", "--bloch", "-1,0,0", "--phases", "16"], ["mz", "--bloch=-1,0,0", "--phases", "16"]),
+        (["state", "--wrt", "-0,0,-1"], ["state", "--wrt=-0,0,-1"]),
+    ],
+    ids=["state", "mz", "wrt"],
+)
+def test_state_values_may_start_with_minus(capsys, fmt, argv, spelled):
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    want_code, want, _ = run(capsys, "--format", fmt, *spelled)
+    assert code == want_code == 0 and err == ""
+    # the echoed command line, the user's own spelling, is the only difference
+    assert " ".join(argv) in out
+    assert out.replace(" ".join(argv), " ".join(spelled), 1) == want
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # the default contour writes about 1 MB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mzduality.cli", "contour"],
+        env=package_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"# tool: mzduality %s\n" % mzduality.__version__.encode()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def test_state_bad_triple_syntax(capsys):
@@ -329,6 +389,19 @@ def test_contour_json(capsys):
     assert payload["values"][5][9] == payload["values"][9][5]
 
 
+def test_contour_at_large_index(capsys):
+    # p^q + m^q underflows to 0 here; the value at (v, p) = (0, 1/31) is
+    # ln 2 + H_2000(1/31), from 60-digit decimal arithmetic
+    code, out, err = run(capsys, "contour", "--q", "2000", "--n", "32")
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines() if line[0] not in "#v"]
+    cells = {(v, p): value for v, p, value in rows}
+    assert len(cells) == 32 * 32
+    assert all(math.isfinite(float(v)) for v in cells.values())
+    assert abs(float(cells["0", "0.032258064516129031"]) - 1.3548765274787697) <= 4e-15
+
+
 def test_contour_validation(capsys):
     code, _, _ = run(capsys, "contour", "--q", "1", "--n", "16")
     assert code == 1
@@ -363,11 +436,13 @@ def test_out_to_missing_directory_is_a_one_line_error(tmp_path, capsys):
 
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency; the package and CLI must not need it
-    src_root = str(Path(mzduality.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_root, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, mzduality, mzduality.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert result.stdout.strip() == "[]"
 

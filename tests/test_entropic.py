@@ -36,7 +36,7 @@ from mzduality import (
     visibility,
     visibility_op,
 )
-from mzduality.entropic import _bias_entropy, _bias_entropy_vec
+from mzduality.entropic import _bias_entropy
 
 INV_SQRT2 = 2.0**-0.5
 TWO_LN2 = 2.0 * LN2
@@ -50,12 +50,19 @@ Q_STAR = 1.4313558811842468
 
 
 def decimal_bias_entropy(x: float, q: float) -> float:
-    """H_q of {(1+x)/2, (1-x)/2} from 50-digit decimal arithmetic."""
+    """H_q of {(1+x)/2, (1-x)/2} from 60-digit decimal arithmetic.
+
+    Summed as (q ln p + ln(1 + (m/p)^q)) / (1 - q), p >= m, so that p^q
+    never has to fit decimal's exponent range (at q = 1e300 it would not).
+    """
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 60
         xd, qd = Decimal(x), Decimal(q)
-        total = sum(p**qd for p in ((1 + xd) / 2, (1 - xd) / 2) if p > 0)
-        return float(total.ln() / (1 - qd))
+        p, m = (1 + xd) / 2, (1 - xd) / 2
+        total = qd * p.ln()
+        if m > 0:
+            total += (1 + (qd * (m / p).ln()).exp()).ln()
+        return float(total / (1 - qd))
 
 
 UNBIASED_PAIR = ProbPair((1.0 + INV_SQRT2) / 2.0, (1.0 - INV_SQRT2) / 2.0)
@@ -100,11 +107,27 @@ class TestRenyiEntropy:
         # at k = 6; 4e-15 also covers q = 1.1, which lies just outside the band
         q = 1.0 + sign * 10.0**-k
         xs = [0.0, 1e-3, 0.1, 0.5, INV_SQRT2, 0.9, 0.999, 0.999999, 1.0]
-        vec = _bias_entropy_vec(np.array(xs), q)
+        vec = _bias_entropy(np.array(xs), q)
         for x, h_vec in zip(xs, vec):
             want = decimal_bias_entropy(x, q)
             assert abs(_bias_entropy(x, q) - want) <= 4e-15
             assert abs(h_vec - want) <= 4e-15
+
+    @pytest.mark.parametrize("q", [50.0, 500.0, 1100.0, 2000.0, 1e5, 1e300])
+    def test_accurate_at_large_index(self, q):
+        # p^q + m^q underflows to 0 once q ln p < -745 (p >= 1/2, so only for
+        # q ln 2 > 700); the n = 32 contour axis reaches that from q = 1100
+        xs = np.linspace(0.0, 1.0, 32)
+        vec = _bias_entropy(xs, q)
+        for x, h_vec in zip(xs.tolist(), vec):
+            want = decimal_bias_entropy(x, q)
+            assert abs(_bias_entropy(x, q) - want) <= 4e-15
+            assert abs(h_vec - want) <= 4e-15
+
+    def test_large_index_on_probability_pairs(self):
+        want = decimal_bias_entropy(0.1, 2000.0) + decimal_bias_entropy(0.2, 2000.0)
+        assert abs(entropy_sum(0.1, 0.2, 2000.0) - want) <= 8e-15
+        assert renyi_entropy(UNIFORM_PAIR, 1100.0) == pytest.approx(LN2, abs=1e-15)
 
     def test_rejects_bad_index(self):
         for q in (0.0, -1.0, math.nan):
@@ -478,13 +501,13 @@ def reference_mixed_bloch(n, seed):
 def reference_brute_force_min(q, n_states, include_mixed, seed):
     """The whole-array sweeps: every arc point, then every ball sample, at once."""
     psi = np.linspace(0.0, math.pi / 2.0, n_states)
-    vals = _bias_entropy_vec(np.cos(psi), q)
-    vals += _bias_entropy_vec(np.sin(psi), q)
+    vals = _bias_entropy(np.cos(psi), q)
+    vals += _bias_entropy(np.sin(psi), q)
     best = float(vals.min())
     if include_mixed:
         s = reference_mixed_bloch(n_states, seed)
-        vals = _bias_entropy_vec(np.abs(s[:, 2]), q)
-        vals += _bias_entropy_vec(np.hypot(s[:, 0], s[:, 1]), q)
+        vals = _bias_entropy(np.abs(s[:, 2]), q)
+        vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
         best = min(best, float(vals.min()))
     return best
 
@@ -568,7 +591,7 @@ class TestArrayPathsKeepBits:
             [rng.uniform(0.0, 1.0, 10_000), [0.0, 5e-324, INV_SQRT2, 1.0 - 2.0**-53, 1.0]]
         )
         before = x.copy()
-        assert same_bits(_bias_entropy_vec(x, q), reference_bias_entropy_vec(x, q))
+        assert same_bits(_bias_entropy(x, q), reference_bias_entropy_vec(x, q))
         assert same_bits(x, before)
 
     @pytest.mark.parametrize("region", sorted(REGIONS))
