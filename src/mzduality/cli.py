@@ -532,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args: list[str] = []
     for arg in argv:  # "--bloch V" as "--bloch=V": argparse reads "-1,0,0" as an option
-        if args and args[-1] in ("--bloch", "--wrt"):
+        if args and args[-1] in ("--bloch", "--wrt") and not arg.startswith("--"):
             args[-1] += "=" + arg
         else:
             args.append(arg)
@@ -542,7 +542,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.command](ns, cfg, argv)
+        code = _COMMANDS[ns.command](ns, cfg, argv)
+        sys.stdout.flush()  # a pipe closed before the last write breaks here, not at exit
+        return code
     except BrokenPipeError:
         # the reader is gone: per the signal module docs' SIGPIPE note, point
         # stdout at devnull so that the flush at exit cannot fail again

@@ -101,21 +101,16 @@ def _entropy(p, m, q):
         h += t
         h = xp.log1p(h, out=h)
         h /= -d
+    elif q * LN2 > 700.0:
+        # p >= 1/2, so p^q + m^q can underflow only here: ln p^q + log1p((m/p)^q)
+        h = q * xp.log(p)
+        h += xp.log1p((m / p) ** q)
+        h /= 1.0 - q
     else:
-        # p >= 1/2, so p^q + m^q can underflow only when q ln 2 > 700; there
-        # the elements with q ln p < -700 take (q ln p + log1p((m/p)^q))/(1-q)
-        big = q * LN2 > 700.0
-        if big:
-            lse = q * xp.log(p)
-            deep = lse < -700.0
-            lse += xp.log1p((m / p) ** q)
-            p = xp.where(deep, 1.0, p)  # keeps the discarded direct form finite
         p **= q
         m **= q
         p += m
         h = xp.log(p, out=p)
-        if big:
-            h = xp.where(deep, lse, h)
         h /= 1.0 - q
     # mathematically h lies in [0, ln 2]; clamp round-off (and kill -0.0)
     h = xp.clip(h, 0.0, LN2, out=h)
@@ -138,10 +133,10 @@ def renyi_entropy(probs: ProbPair, q: float) -> float:
     q = 1 (within a 1e-7 window) evaluates the Shannon limit -sum p ln p
     with the 0 ln 0 = 0 convention; elsewhere within 0.1 of 1 the same
     value is computed as -log1p(sum p expm1((q-1) ln p))/(q-1), which keeps
-    full precision as q approaches 1. Where p^q would underflow, q ln p <
-    -700 for the larger probability p (possible only for q ln 2 > 700), the
-    value is (q ln p + log1p((m/p)^q))/(1-q), m the smaller one. q =
-    math.inf gives the min-entropy -ln(max p). Rejects q <= 0. Values lie in [0, ln 2], monotonically
+    full precision as q approaches 1. For q ln 2 > 700, where p^q may
+    underflow, the value is (q ln p + log1p((m/p)^q))/(1-q), p the larger
+    and m the smaller probability. q = math.inf gives the min-entropy
+    -ln(max p). Rejects q <= 0. Values lie in [0, ln 2], monotonically
     nonincreasing in q.
     """
     _check_q(q)

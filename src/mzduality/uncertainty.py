@@ -69,12 +69,6 @@ def _safe_sqrt(x: float) -> float:
     return math.sqrt(max(x, 0.0))
 
 
-def _relation_terms(obs_a: BlochObservable, obs_b: BlochObservable, state: QubitState):
-    """a.s, b.s, a.b and (a x b).s for the axes a, b and the Bloch vector s."""
-    a, b, s = obs_a.axis, obs_b.axis, state.bloch.as_tuple()
-    return _dot(a, s), _dot(b, s), _dot(a, b), _dot(_cross(a, b), s)
-
-
 def sr_relation(
     obs_a: BlochObservable,
     obs_b: BlochObservable,
@@ -87,9 +81,10 @@ def sr_relation(
     The first rhs term is the squared covariance, the second the squared
     commutator expectation; every pure state saturates the relation.
     """
-    da, db, ab, ab_s = _relation_terms(obs_a, obs_b, state)
+    a, b, s = obs_a.axis, obs_b.axis, state.bloch.as_tuple()
+    da, db, ab = _dot(a, s), _dot(b, s), _dot(a, b)
     lhs = (1.0 - da * da) * (1.0 - db * db)
-    rhs = (ab - da * db) ** 2 + ab_s**2
+    rhs = (ab - da * db) ** 2 + _dot(_cross(a, b), s) ** 2
     return _verdict_geq(lhs, rhs, eps_gap)
 
 
@@ -103,9 +98,10 @@ def hr_relation(
 
     Weaker than SR and, unlike it, not saturated by generic pure states.
     """
-    da, db, _, ab_s = _relation_terms(obs_a, obs_b, state)
+    a, b, s = obs_a.axis, obs_b.axis, state.bloch.as_tuple()
+    da, db = _dot(a, s), _dot(b, s)
     lhs = (1.0 - da * da) * (1.0 - db * db)
-    rhs = ab_s**2
+    rhs = _dot(_cross(a, b), s) ** 2
     return _verdict_geq(lhs, rhs, eps_gap)
 
 
@@ -180,8 +176,8 @@ def lp_qubit_form(
     with any smaller constant an eigenstate of either observable already
     violates the bound.
     """
-    da, db, _, _ = _relation_terms(obs_a, obs_b, state)
-    x, y = abs(da), abs(db)
+    a, b, s = obs_a.axis, obs_b.axis, state.bloch.as_tuple()
+    x, y = abs(_dot(a, s)), abs(_dot(b, s))
     lhs = _safe_sqrt((1.0 + x) * (1.0 + y)) - _safe_sqrt((1.0 - x) * (1.0 - y))
     rhs = 2.0 * overlap(obs_a, obs_b)
     return _verdict_leq(lhs, rhs, eps_gap)

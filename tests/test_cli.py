@@ -155,6 +155,35 @@ def test_state_values_may_start_with_minus(capsys, fmt, argv, spelled):
     assert out.replace(" ".join(argv), " ".join(spelled), 1) == want
 
 
+@pytest.mark.parametrize("option", ["--bloch", "--wrt"])
+def test_option_after_bloch_is_not_taken_as_its_value(capsys, option):
+    code, out, err = run(capsys, "state", option, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}: expected one argument" in err
+
+
+def test_stdout_closed_before_the_first_write_ends_the_run_quietly():
+    # qstar's few lines stay in the stdout buffer until main flushes it, so
+    # the child must buffer stdout as it does by default
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mzduality.cli", "qstar"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b""
+
+
 def test_closed_stdout_ends_the_run_quietly():
     # the default contour writes about 1 MB, far more than a pipe buffers
     proc = subprocess.Popen(
