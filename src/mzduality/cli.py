@@ -10,11 +10,12 @@ Output is CSV (default) or JSON, to stdout or --out, always preceded by a
 metadata block recording tool version, the exact command line, the seed
 and the active tolerances. Identical invocations produce byte-identical
 output; the JSON text is exactly ``json.dumps(payload, indent=2)`` plus a
-newline. Large tables are formatted and written a row at a time, after
-all computation and validation are done. Angles are radians; floats are
-printed with 17 significant digits. Exit codes: 0 success, 1 usage or
-validation error, or stdout closed by its reader (nothing more is written
-and stderr stays empty), 2 property violation detected by verify.
+newline. Large tables are formatted and written a row or a block of rows
+at a time, after all computation and validation are done. Angles are
+radians; floats are printed with 17 significant digits. Exit codes: 0
+success, 1 usage or validation error, or stdout closed by its reader
+(nothing more is written and stderr stays empty), 2 property violation
+detected by verify.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .entropic import (
@@ -49,6 +49,9 @@ from .interferometer import apply_beam_splitter, fringe_scan, predictability, vi
 from .qubit import EPS_POS, BlochVector, QubitState, _row_norms_sq
 from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TOLERANCE_DEFAULTS = {
     "eps_pos": EPS_POS,
     "eps_gap": EPS_GAP,
@@ -56,6 +59,7 @@ TOLERANCE_DEFAULTS = {
 }
 
 MAX_SEED = 2**64 - 1
+_MZ_BLOCK = 1024  # mz CSV rows formatted by one "%"
 
 
 @dataclass
@@ -253,6 +257,8 @@ def _symmetric_rows(
     Only the cells on and above the diagonal go through fmt_row; each
     string is mirrored into the cell below the diagonal that equals it.
     """
+    import numpy as np
+
     n = len(values)
     cells = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -363,7 +369,13 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
         _write(cfg, _json_chunks(payload))
     else:
         head = _lines(_meta_lines(cfg, argv) + ["phi,p_d1,p_d2"])
-        rows = map("%.17g,%.17g,%.17g\n".__mod__, zip(scan.phases, scan.p_d1, scan.p_d2))
+        # one "%" and one write per block of _MZ_BLOCK rows, not per row
+        flat = tuple(chain.from_iterable(zip(scan.phases, scan.p_d1, scan.p_d2)))
+        step = 3 * _MZ_BLOCK
+        rows = (
+            "%.17g,%.17g,%.17g\n" * (len(block) // 3) % block
+            for block in (flat[i : i + step] for i in range(0, len(flat), step))
+        )
         tail = _lines([
             f"# p_max: {_fmt(scan.p_max)}",
             f"# p_min: {_fmt(scan.p_min)}",
@@ -376,6 +388,8 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
 
 def _checked_rows(s: np.ndarray, eps_pos: float) -> np.ndarray:
     """BlochVector's rule per row: rescale norms in (1, 1 + eps_pos] in place, reject larger."""
+    import numpy as np
+
     norm = np.sqrt(_row_norms_sq(s))
     bad = np.flatnonzero(~(norm <= 1.0 + eps_pos))
     if bad.size:
@@ -388,6 +402,8 @@ def _checked_rows(s: np.ndarray, eps_pos: float) -> np.ndarray:
 def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     if ns.n < 1:
         raise ValueError(f"--n must be at least 1, got {ns.n}")
+    import numpy as np
+
     n_pure = ns.n // 2
     rows = [random_pure_bloch(n_pure, cfg.seed), random_mixed_bloch(ns.n - n_pure, cfg.seed + 1)]
     s = _checked_rows(np.vstack(rows), cfg.tolerances["eps_pos"])
@@ -532,7 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args: list[str] = []
     for arg in argv:  # "--bloch V" as "--bloch=V": argparse reads "-1,0,0" as an option
-        if args and args[-1] in ("--bloch", "--wrt") and not arg.startswith("--"):
+        opt = args[-1] if args else ""  # or a prefix such as --blo, which argparse expands
+        glue = len(opt) > 2 and ("--bloch".startswith(opt) or "--wrt".startswith(opt))
+        if glue and not arg.startswith("--"):
             args[-1] += "=" + arg
         else:
             args.append(arg)

@@ -24,8 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .qubit import (
     BlochObservable,
@@ -33,8 +32,12 @@ from .qubit import (
     ProbPair,
     QubitState,
     _row_norms_sq,
+    _xp,
     probabilities,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 SHANNON_WINDOW = 1e-7  # |q - 1| below this evaluates the Shannon limit
@@ -63,24 +66,14 @@ def _check_q_minimization(q: float) -> None:
         )
 
 
-class _Floats:
-    """The numpy functions ``_entropy`` calls, done by math so floats keep math's bits."""
-
-    log = staticmethod(lambda x, out=None: math.log(x))
-    expm1 = staticmethod(lambda x, out=None: math.expm1(x))
-    log1p = staticmethod(lambda x, out=None: math.log1p(x))
-    clip = staticmethod(lambda x, lo, hi, out=None: max(lo, min(x, hi)))
-    where = staticmethod(lambda cond, a, b: a if cond else b)
-
-
 def _entropy(p, m, q):
     """H_q of a normalized pair {p, m}, p >= m, for q > 0 or q = inf.
 
-    Arrays go through numpy, elementwise, and may be overwritten; anything
-    else goes through math, where ``out`` is ignored. The in-place steps
-    round exactly like the expressions they stand for.
+    Floats go through math (see ``_xp``); arrays go through numpy,
+    elementwise, and may be overwritten. The in-place steps round exactly
+    like the expressions they stand for.
     """
-    xp = np if isinstance(p, np.ndarray) else _Floats
+    xp = _xp(p)
     if q == math.inf:
         h = -xp.log(p)
     elif abs(q - 1.0) < SHANNON_WINDOW:
@@ -264,6 +257,8 @@ def brute_force_min(
     _check_q_minimization(q)
     if n_states < 10_000:
         raise ValueError(f"n_states must be at least 10000, got {n_states}")
+    import numpy as np
+
     best = math.inf
     psi = np.linspace(0.0, _HALF_PI, n_states)  # once: its bits are numpy's formula
     for start in range(0, n_states, _BLOCK):
@@ -312,6 +307,8 @@ def contour_grid(q: float, n: int) -> ContourGrid:
         raise ValueError("contour grids require a finite Renyi index")
     if n < 32:
         raise ValueError(f"n must be at least 32, got {n}")
+    import numpy as np
+
     axis = np.linspace(0.0, 1.0, n)
     h = _bias_entropy(axis, q)
     values = h[:, None] + h[None, :]
@@ -363,6 +360,7 @@ def constrained_min_over_region(
     _check_q_minimization(q)
     if n_samples < 12:
         raise ValueError(f"n_samples must be at least 12, got {n_samples}")
+    import numpy as np
 
     base = n_samples // 3
     sweep_n = max(4, base - base % 4)  # multiple of 4 puts poles/equator on the grid
@@ -408,6 +406,8 @@ def _check_n(n: int) -> None:
 def random_pure_bloch(n: int, seed: int) -> np.ndarray:
     """n uniform points on the unit sphere: Gaussian draws, normalized."""
     _check_n(n)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
     norms = np.sqrt(_row_norms_sq(v))
@@ -427,6 +427,8 @@ def _mixed_blocks(n: int, seed: int):
     the draw sizes, ``min(2 * max(n - have, 64), _BLOCK)`` rows, change
     only how far past the n-th kept row the generator runs.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     have = 0
     while have < n:
@@ -445,6 +447,8 @@ def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
     block of draws is held at a time.
     """
     _check_n(n)
+    import numpy as np
+
     out = np.empty((n, 3))
     have = 0
     for piece in _mixed_blocks(n, seed):

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qubit import (
     TWO_PI,
     BlochObservable,
@@ -92,15 +90,18 @@ def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:
     """
     if n_phases < 8:
         raise ValueError(f"n_phases must be at least 8, got {n_phases}")
-    s = state.bloch
-    phases = TWO_PI * np.arange(n_phases) / n_phases
-    p1 = (1.0 - (s.sx * np.cos(phases) - s.sy * np.sin(phases))) / 2.0
-    p_max, p_min = float(p1.max()), float(p1.min())
+    sx, sy = state.bloch.sx, state.bloch.sy
+    phases = tuple([TWO_PI * i / n_phases for i in range(n_phases)])
+    p1 = tuple([
+        (1.0 - (sx * c - sy * sn)) / 2.0
+        for c, sn in zip(map(math.cos, phases), map(math.sin, phases))
+    ])
+    p_max, p_min = max(p1), min(p1)
     return FringeScan(
         p_max=p_max,
         p_min=p_min,
         v_operational=(p_max - p_min) / (p_max + p_min),
-        phases=tuple(phases.tolist()),
-        p_d1=tuple(p1.tolist()),
-        p_d2=tuple((1.0 - p1).tolist()),
+        phases=phases,
+        p_d1=p1,
+        p_d2=tuple([1.0 - x for x in p1]),
     )

@@ -24,6 +24,32 @@ TWO_PI = 2.0 * math.pi
 Vec3 = tuple[float, float, float]
 
 
+class _Floats:
+    """The numpy functions the float-or-array kernels call, done by math so floats keep math's bits.
+
+    ``maximum`` returns b on ties and NaN if either is NaN, as ``np.maximum``
+    does, so ``maximum(-0.0, 0.0)`` is 0.0; ``out`` is ignored.
+    """
+
+    sqrt = staticmethod(math.sqrt)
+    abs = staticmethod(abs)
+    maximum = staticmethod(lambda a, b: a if a > b or a != a else b)
+    log = staticmethod(lambda x, out=None: math.log(x))
+    expm1 = staticmethod(lambda x, out=None: math.expm1(x))
+    log1p = staticmethod(lambda x, out=None: math.log1p(x))
+    clip = staticmethod(lambda x, lo, hi, out=None: max(lo, min(x, hi)))
+    where = staticmethod(lambda cond, a, b: a if cond else b)
+
+
+def _xp(x):
+    """``_Floats`` for a float (numpy's float64 included), else numpy, imported only then."""
+    if isinstance(x, float):
+        return _Floats
+    import numpy
+
+    return numpy
+
+
 def _dot(u: Vec3, v: Vec3) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -213,17 +239,15 @@ class ProbPair:
     p_minus: float
 
     def __post_init__(self) -> None:
-        if abs(self.p_plus + self.p_minus - 1.0) > EPS_NORM:
-            raise ValueError(
-                f"probabilities must sum to 1: {self.p_plus!r} + {self.p_minus!r}"
-            )
-        for name in ("p_plus", "p_minus"):
-            p = getattr(self, name)
-            if p < -EPS_NORM or p > 1.0 + EPS_NORM:
+        pair = float(self.p_plus), float(self.p_minus)
+        for name, p in zip(("p_plus", "p_minus"), pair):
+            if not -EPS_NORM <= p <= 1.0 + EPS_NORM:  # also rejects NaN
                 raise ValueError(f"{name} = {p!r} outside [0, 1]")
+        if abs(pair[0] + pair[1] - 1.0) > EPS_NORM:
+            raise ValueError(f"probabilities must sum to 1: {pair[0]!r} + {pair[1]!r}")
+        for name, p in zip(("p_plus", "p_minus"), pair):
             # absorb sub-tolerance round-off from |a.s| ~ 1 dot products
-            if not 0.0 <= p <= 1.0:
-                object.__setattr__(self, name, min(max(p, 0.0), 1.0))
+            object.__setattr__(self, name, min(max(p, 0.0), 1.0))
 
     @property
     def max_prob(self) -> float:

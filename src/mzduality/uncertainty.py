@@ -15,12 +15,14 @@ inequality here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .interferometer import predictability, visibility
-from .qubit import BlochObservable, QubitState, _cross, _dot, overlap
+from .qubit import BlochObservable, QubitState, _cross, _dot, _xp, overlap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS_GAP = 1e-9  # |gap| below this counts as saturated
 _ACOS_SLACK = 1e-12  # arccos/sqrt arguments may overshoot their domain by this
@@ -239,27 +241,25 @@ def pv_audit(
     P^2)(1 - V^2)). The scale vanishes at the poles and on the equator, where
     a pure state's last-ulp norm error alone gives an LP gap above eps_gap,
     so the LP leg compares gap * scale with eps_gap * scale + LP_ROUNDING.
+    Floats are evaluated by math and give plain floats and bools (see ``_xp``).
     """
     pp, vv = p * p, v * v
     sr_lhs = (1.0 - pp) * (1.0 - vv)
+    xp = _xp(sr_lhs)  # the type P and V broadcast to
     ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
-    lp_lhs = np.sqrt(ma * mb) - np.sqrt(np.maximum((1.0 - ma) * (1.0 - mb), 0.0))
+    lp_lhs = xp.sqrt(ma * mb) - xp.sqrt(xp.maximum((1.0 - ma) * (1.0 - mb), 0.0))
     lp_gap = _LP_RHS - lp_lhs
-    scale = (np.sqrt(np.maximum(sr_lhs, 0.0)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
+    scale = (xp.sqrt(xp.maximum(sr_lhs, 0.0)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
     slack = eps_gap * scale + LP_ROUNDING
     return EquivalenceAudit(
         duality=_verdict_leq(pp + vv, 1.0, eps_gap),
         sr=_verdict_geq(sr_lhs, pp * v * v, eps_gap),
         lp=UncertaintyVerdict(
-            lp_lhs, _LP_RHS, lp_gap, lp_gap * scale >= -slack, np.abs(lp_gap) * scale <= slack
+            lp_lhs, _LP_RHS, lp_gap, lp_gap * scale >= -slack, xp.abs(lp_gap) * scale <= slack
         ),
     )
 
 
 def equivalence_audit(state: QubitState, eps_gap: float = EPS_GAP) -> EquivalenceAudit:
-    """``pv_audit`` on one state, in plain floats and bools; the LP leg
-    allows for the rounding of its scaled gap in the same way."""
-    audit = pv_audit(predictability(state), visibility(state), eps_gap)
-    v = audit.lp  # the only leg evaluated with numpy functions
-    lp = UncertaintyVerdict(float(v.lhs), v.rhs, float(v.gap), bool(v.holds), bool(v.saturated))
-    return replace(audit, lp=lp)
+    """``pv_audit`` on one state's P and V, in plain floats and bools."""
+    return pv_audit(predictability(state), visibility(state), eps_gap)

@@ -143,8 +143,12 @@ def test_state_rejects_non_finite_wrt_by_name(capsys, wrt, message):
         (["state", "--bloch", "-0.6,0,0.8"], ["state", "--bloch=-0.6,0,0.8"]),
         (["mz", "--bloch", "-1,0,0", "--phases", "16"], ["mz", "--bloch=-1,0,0", "--phases", "16"]),
         (["state", "--wrt", "-0,0,-1"], ["state", "--wrt=-0,0,-1"]),
+        (["state", "--blo", "-0.6,0,0.8"], ["state", "--bloch=-0.6,0,0.8"]),
+        (["state", "--b", "-0.6,0,0.8"], ["state", "--bloch=-0.6,0,0.8"]),
+        (["mz", "--bl", "-1,0,0", "--phases", "16"], ["mz", "--bloch=-1,0,0", "--phases", "16"]),
+        (["state", "--wr", "-0,0,-1"], ["state", "--wrt=-0,0,-1"]),
     ],
-    ids=["state", "mz", "wrt"],
+    ids=["state", "mz", "wrt", "prefix-blo", "prefix-b", "mz-prefix-bl", "prefix-wr"],
 )
 def test_state_values_may_start_with_minus(capsys, fmt, argv, spelled):
     code, out, err = run(capsys, "--format", fmt, *argv)
@@ -476,6 +480,38 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import mzduality, mzduality.cli as cli
+seen = {"import": [0, "numpy" in sys.modules]}
+scalar = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["qscan"], ["qstar"])
+for argv in [*scalar, ["verify"], ["contour"]]:
+    for fmt in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--format", fmt, *argv])
+        seen[fmt + " " + argv[0]] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_scalar_commands_load_no_numpy():
+    # state, mz, qscan and qstar are closed forms over floats; verify and
+    # contour, run last, are the commands that need arrays
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seen = json.loads(result.stdout)
+    want = {"import": [0, False]}
+    for command in ("state", "mz", "qscan", "qstar", "verify", "contour"):
+        for fmt in ("csv", "json"):
+            want[f"{fmt} {command}"] = [0, command in ("verify", "contour")]
+    assert seen == want
+
+
 def test_bad_seed_rejected(capsys):
     code, _, _ = run(capsys, "--seed", "-1", "verify", "--n", "5")
     assert code == 1
@@ -653,7 +689,7 @@ def test_contour_bytes_match_reference_serializer(capsys, fmt, q, n):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bloch", ["0,0,1", "0.6,0,0.8", "-0.3,0.2,-0.1"])
-@pytest.mark.parametrize("phases", [8, 13, 997])
+@pytest.mark.parametrize("phases", [8, 13, 997, 1023, 1024, 1025, 2049])
 def test_mz_bytes_match_reference_serializer(capsys, fmt, bloch, phases):
     argv = ["--format", fmt, "mz", f"--bloch={bloch}", "--phases", str(phases)]
     code, out, _ = run(capsys, *argv)

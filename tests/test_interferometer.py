@@ -201,6 +201,20 @@ class TestFringeScan:
                 want = apply_beam_splitter(apply_phase_shifter(state, phi)).w_plus
                 assert abs(p1 - want) <= 1e-15
 
+    @pytest.mark.parametrize("n", [8, 13, 360, 997, 20_000])
+    @given(ball_points())
+    @settings(max_examples=20, deadline=None)
+    def test_keeps_the_bits_of_the_numpy_form(self, n, s):
+        # the vectorized expression fringe_scan evaluated before it ran over floats
+        state = QubitState.from_bloch(*s)
+        sx, sy = state.bloch.sx, state.bloch.sy
+        phases = TWO_PI * np.arange(n) / n
+        p1 = (1.0 - (sx * np.cos(phases) - sy * np.sin(phases))) / 2.0
+        scan = fringe_scan(state, n)
+        for got, want in ((scan.phases, phases), (scan.p_d1, p1), (scan.p_d2, 1.0 - p1)):
+            assert np.array(got).tobytes() == want.tobytes()
+        assert (scan.p_max, scan.p_min) == (float(p1.max()), float(p1.min()))
+
     def test_grid_resolution_improves_estimate(self):
         state = QubitState.from_bloch(0.5, 0.5, 0.3)
         coarse = abs(fringe_scan(state, 36).v_operational - visibility(state))

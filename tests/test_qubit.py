@@ -23,6 +23,7 @@ from mzduality import (
     probabilities,
     variance,
 )
+from mzduality.qubit import _Floats
 
 INV_SQRT2 = 2.0**-0.5
 SIGMA_Z = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0))
@@ -206,6 +207,32 @@ class TestBornRule:
         clamped = ProbPair(-5e-16, 1.0 + 5e-16)
         assert clamped.p_plus == 0.0
         assert clamped.p_minus == 1.0
+
+    @pytest.mark.parametrize(
+        ("pair", "message"),
+        [
+            ((math.nan, math.nan), "p_plus = nan outside"),
+            ((0.5, math.nan), "p_minus = nan outside"),
+            ((math.inf, -math.inf), "p_plus = inf outside"),
+            ((1.0, -math.inf), "p_minus = -inf outside"),
+        ],
+    )
+    def test_prob_pair_rejects_non_finite_by_name(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            ProbPair(*pair)
+
+    def test_prob_pair_stores_floats(self):
+        pair = ProbPair(1, 0)
+        assert pair.as_tuple() == (1.0, 0.0)
+        assert all(type(p) is float for p in pair.as_tuple())
+
+
+def test_float_maximum_matches_numpy():
+    # np.maximum returns its second argument on ties and NaN if either is NaN
+    xs = [-0.0, 0.0, 1.0, -1.0, math.nan, math.inf]
+    for a in xs:
+        for b in xs:
+            assert _Floats.maximum(a, b).hex() == float(np.maximum(a, b)).hex(), (a, b)
 
 
 class TestMoments:

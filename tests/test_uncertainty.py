@@ -299,6 +299,25 @@ class TestPvAudit:
         assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
         assert audit.duality.saturated.all()
 
+    def test_floats_keep_the_array_bits(self):
+        # the float path (math) and the array path (numpy) must round alike,
+        # signed zeros included; 1 + 2^-52 drives both clamps to zero
+        rows = np.vstack([random_pure_bloch(2000, 43), random_mixed_bloch(2000, 44)])
+        edge = [0.0, -0.0, 1.0, 0.6, 0.8, INV_SQRT2, 1e-8, 1.0 - 2.0**-53, 1.0 + 2.0**-52]
+        p = np.concatenate([_pv(rows)[0], np.repeat(edge, len(edge))])
+        v = np.concatenate([_pv(rows)[1], np.tile(edge, len(edge))])
+        array = pv_audit(p, v)
+        for i, (pi, vi) in enumerate(zip(p.tolist(), v.tolist())):
+            audit = pv_audit(pi, vi)
+            for f, a in zip((audit.duality, audit.sr, audit.lp), (array.duality, array.sr, array.lp)):
+                for name in ("lhs", "rhs", "gap"):
+                    got, want = getattr(f, name), getattr(a, name)
+                    want = want[i] if np.ndim(want) else want
+                    assert type(got) is float and got.hex() == float(want).hex(), (pi, vi, name)
+                for name in ("holds", "saturated"):
+                    got = getattr(f, name)
+                    assert type(got) is bool and got == bool(getattr(a, name)[i]), (pi, vi, name)
+
     def test_slightly_mixed_states_stay_unsaturated(self):
         # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, and the
         # rounding bound must not pull any relation into saturation
