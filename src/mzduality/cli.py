@@ -46,7 +46,7 @@ from .entropic import (
     random_pure_bloch,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
-from .qubit import EPS_POS, BlochVector, QubitState, _row_norms_sq
+from .qubit import EPS_POS, QubitState, _checked_rows
 from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ TOLERANCE_DEFAULTS = {
 }
 
 MAX_SEED = 2**64 - 1
-_MZ_BLOCK = 1024  # mz CSV rows formatted by one "%"
+_MZ_BLOCK = 1024  # mz rows formatted by one "%", CSV or JSON
 
 
 @dataclass
@@ -268,13 +268,30 @@ def _symmetric_rows(
         yield cells[i].tolist()
 
 
+def _row_blocks(template: str, sep: str, columns: Sequence[Sequence]) -> Iterator[str]:
+    """sep.join(template % row for row in zip(*columns)), in blocks of _MZ_BLOCK rows.
+
+    One "%" and one chunk per block, not per row.
+    """
+    width = len(columns)
+    flat = tuple(chain.from_iterable(zip(*columns)))
+    step = width * _MZ_BLOCK
+    for i in range(0, len(flat), step):
+        block = flat[i : i + step]
+        yield sep.join([template] * (len(block) // width)) % block
+
+
+_JSON_ITEM_SEP = ",\n    "  # between the items of a top-level array under indent=2
+
+
 @dataclass(frozen=True)
 class _JsonArray:
     """The value of a top-level field that is a JSON array, streamed item by item.
 
     Each item is already encoded the way json.dumps(payload, indent=2)
     writes an item of such an array: inner lines indented by six spaces,
-    a closing bracket by four.
+    a closing bracket by four. An item may also be a run of items joined
+    by ``_JSON_ITEM_SEP``.
     """
 
     items: Iterable[str]
@@ -290,7 +307,7 @@ def _json_chunks(payload: dict) -> Iterator[str]:
             item_sep = "[\n    "
             for item in value.items:
                 yield item_sep + item
-                item_sep = ",\n    "
+                item_sep = _JSON_ITEM_SEP
             yield "[]" if item_sep == "[\n    " else "\n  ]"
         else:
             # json escapes newlines inside strings, so every "\n" here starts a line
@@ -357,10 +374,10 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     v_analytic = visibility(inside)
     if cfg.output_format == "json":
         row = '{\n      "phi": %s,\n      "p_d1": %s,\n      "p_d2": %s\n    }'
-        columns = (_json_floats(c) for c in (scan.phases, scan.p_d1, scan.p_d2))
+        columns = [_json_floats(c) for c in (scan.phases, scan.p_d1, scan.p_d2)]
         payload = {
             "meta": _meta_dict(cfg, argv),
-            "rows": _JsonArray(map(row.__mod__, zip(*columns))),
+            "rows": _JsonArray(_row_blocks(row, _JSON_ITEM_SEP, columns)),
             "p_max": scan.p_max,
             "p_min": scan.p_min,
             "v_operational": scan.v_operational,
@@ -369,13 +386,7 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
         _write(cfg, _json_chunks(payload))
     else:
         head = _lines(_meta_lines(cfg, argv) + ["phi,p_d1,p_d2"])
-        # one "%" and one write per block of _MZ_BLOCK rows, not per row
-        flat = tuple(chain.from_iterable(zip(scan.phases, scan.p_d1, scan.p_d2)))
-        step = 3 * _MZ_BLOCK
-        rows = (
-            "%.17g,%.17g,%.17g\n" * (len(block) // 3) % block
-            for block in (flat[i : i + step] for i in range(0, len(flat), step))
-        )
+        rows = _row_blocks("%.17g,%.17g,%.17g\n", "", (scan.phases, scan.p_d1, scan.p_d2))
         tail = _lines([
             f"# p_max: {_fmt(scan.p_max)}",
             f"# p_min: {_fmt(scan.p_min)}",
@@ -384,19 +395,6 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
         ])
         _write(cfg, chain([head], rows, [tail]))
     return 0
-
-
-def _checked_rows(s: np.ndarray, eps_pos: float) -> np.ndarray:
-    """BlochVector's rule per row: rescale norms in (1, 1 + eps_pos] in place, reject larger."""
-    import numpy as np
-
-    norm = np.sqrt(_row_norms_sq(s))
-    bad = np.flatnonzero(~(norm <= 1.0 + eps_pos))
-    if bad.size:
-        BlochVector(*s[bad[0]], eps_pos=eps_pos)  # raises: same norm expression
-    over = norm > 1.0
-    s[over] /= norm[over, None]
-    return s
 
 
 def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:

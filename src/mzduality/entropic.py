@@ -31,6 +31,7 @@ from .qubit import (
     BlochVector,
     ProbPair,
     QubitState,
+    _checked_rows,
     _row_norms_sq,
     _xp,
     probabilities,
@@ -47,7 +48,8 @@ Q_STAR_BRACKET = (1.01, 2.0)
 MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
 
 _HALF_PI = math.pi / 2.0
-_BLOCK = 1 << 15  # rows per block of the oracle and the ball sampler: 768 kB of (x, y, z)
+_BLOCK = 1 << 15  # rows per block of the ball sampler and sweep: 768 kB of (x, y, z)
+_ARC_BLOCK = 1 << 13  # angles per block of the arc sweep; small blocks keep a thread's arena small
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -114,9 +116,9 @@ def _entropy(p, m, q):
 def _bias_entropy(x, q):
     """Entropy of the pair {(1+x)/2, (1-x)/2} for biases x in [0, 1], a float or an array."""
     p = 1.0 + x
-    p /= 2.0
+    p *= 0.5  # the bits of p / 2 for every double, subnormals included
     m = 1.0 - x
-    m /= 2.0
+    m *= 0.5
     return _entropy(p, m, q)
 
 
@@ -237,6 +239,38 @@ def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:
     return "I" if q < q_star else "III"
 
 
+def _arc_blocks(n: int):
+    """Yield ``np.linspace(0, pi/2, n)``, n >= 2, bit for bit, in blocks of ``_ARC_BLOCK`` angles.
+
+    Each block takes linspace's own steps: the float positions, times
+    ``step = float64(pi/2) / (n - 1)``, plus 0.0, with the last angle set
+    to pi/2 exactly.
+    """
+    import numpy as np
+
+    step = np.float64(_HALF_PI) / (n - 1)
+    for start in range(0, n, _ARC_BLOCK):
+        stop = min(start + _ARC_BLOCK, n)
+        a = np.arange(start, stop, dtype=float)
+        a *= step
+        a += 0.0
+        if stop == n:
+            a[-1] = _HALF_PI
+        yield a
+
+
+def _arc_min(q: float, n: int) -> float:
+    """Minimum of H_q(cos a) + H_q(sin a) over the n angles of ``_arc_blocks(n)``."""
+    import numpy as np
+
+    best = math.inf
+    for a in _arc_blocks(n):
+        vals = _bias_entropy(np.cos(a), q)
+        vals += _bias_entropy(np.sin(a), q)
+        best = min(best, float(vals.min()))
+    return best
+
+
 def brute_force_min(
     q: float, n_states: int, include_mixed: bool, *, seed: int = 0
 ) -> float:
@@ -250,28 +284,30 @@ def brute_force_min(
     Bloch ball, are swept as well (they can only confirm, never undercut,
     the pure minimum, because entropies grow toward the center of the ball).
 
-    Both sweeps run over blocks of at most ``_BLOCK`` states and keep a
-    running minimum, so the temporaries stay cache-sized; the minimum is
-    exact, so the result does not depend on the block size.
+    Both sweeps run over blocks and keep a running minimum, so the
+    temporaries stay cache-sized; the minimum is exact, so the result does
+    not depend on the block sizes. With include_mixed the arc is swept on
+    one helper thread while the calling thread sweeps the ball: the two are
+    independent and numpy releases the interpreter lock in its loops. An
+    exception on the helper is raised here.
     """
     _check_q_minimization(q)
     if n_states < 10_000:
         raise ValueError(f"n_states must be at least 10000, got {n_states}")
+    if not include_mixed:
+        return _arc_min(q, n_states)
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
-    best = math.inf
-    psi = np.linspace(0.0, _HALF_PI, n_states)  # once: its bits are numpy's formula
-    for start in range(0, n_states, _BLOCK):
-        a = psi[start : start + _BLOCK]
-        vals = _bias_entropy(np.cos(a), q)
-        vals += _bias_entropy(np.sin(a), q)
-        best = min(best, float(vals.min()))
-    if include_mixed:
+    with ThreadPoolExecutor(1) as pool:
+        arc = pool.submit(_arc_min, q, n_states)
+        best = math.inf
         for s in _mixed_blocks(n_states, seed):
             vals = _bias_entropy(np.abs(s[:, 2]), q)
             vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
             best = min(best, float(vals.min()))
-    return best
+        return min(arc.result(), best)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,29 +409,28 @@ def constrained_min_over_region(
         [sweep, random_pure_bloch(sphere_n, seed), random_mixed_bloch(ball_n, seed + 1)]
     )
 
-    accepted = []
-    for x, y, z in candidates.tolist():
-        bv = BlochVector(x, y, z)
-        if region(bv):
-            accepted.append(bv)
-    if not accepted:
+    rows = candidates.tolist()
+    accepted = np.array([bool(region(BlochVector(x, y, z))) for x, y, z in rows])
+    index = np.flatnonzero(accepted)
+    if not index.size:
         raise ValueError("region predicate rejected every sampled state")
 
-    # Arrays rank the accepted states; numpy may differ from math in the
-    # last bits, so the float values decide among the states the arrays
-    # put within 1e-12 of their minimum, first strict minimum kept.
-    p = np.array([abs(bv.sz) for bv in accepted])
-    v = np.array([math.hypot(bv.sx, bv.sy) for bv in accepted])
-    vals = _bias_entropy(p, q)
-    vals += _bias_entropy(v, q)
+    # The checked rows hold the bits of the BlochVectors the predicate saw.
+    # Arrays rank the accepted ones; numpy may differ from math in the last
+    # bits, so the float values decide among the states the arrays put
+    # within 1e-12 of their minimum, first strict minimum kept.
+    s = _checked_rows(candidates)[accepted]
+    vals = _bias_entropy(np.abs(s[:, 2]), q)
+    vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
     best_val = math.inf
     for i in np.flatnonzero(vals <= vals.min() + 1e-12).tolist():
-        bv = accepted[i]
-        val = _bias_entropy(abs(bv.sz), q) + _bias_entropy(math.hypot(bv.sx, bv.sy), q)
+        x, y, z = s[i].tolist()
+        val = _bias_entropy(abs(z), q) + _bias_entropy(math.hypot(x, y), q)
         if val < best_val:
             best_val = val
-            best = bv
-    return RegionMinimum(min_value=best_val, argmin=best, n_accepted=len(accepted))
+            best = i
+    argmin = BlochVector(*rows[index[best]])
+    return RegionMinimum(min_value=best_val, argmin=argmin, n_accepted=int(index.size))
 
 
 def _check_n(n: int) -> None:

@@ -122,6 +122,24 @@ def _row_norms_sq(rows):
     return x * x + y * y + z * z
 
 
+def _checked_rows(rows, eps_pos: float = EPS_POS):
+    """BlochVector's norm rule on each row of an (n, 3) array, in place.
+
+    Norms in (1, 1 + eps_pos] are rescaled to 1, giving each row the bits
+    of the BlochVector built from it; a larger norm, or a NaN, raises
+    BlochVector's own error for the first such row.
+    """
+    import numpy as np
+
+    norm = np.sqrt(_row_norms_sq(rows))
+    bad = np.flatnonzero(~(norm <= 1.0 + eps_pos))
+    if bad.size:
+        BlochVector(*rows[bad[0]], eps_pos=eps_pos)  # raises: same norm expression
+    over = norm > 1.0
+    rows[over] /= norm[over, None]
+    return rows
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Qubit density operator in Bloch form, with the derived state variables.

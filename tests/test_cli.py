@@ -28,7 +28,6 @@ from mzduality import (
 from mzduality import cli
 from mzduality.cli import (
     RunConfig,
-    _checked_rows,
     _g17,
     _json_chunks,
     _json_floats,
@@ -39,7 +38,7 @@ from mzduality.cli import (
     build_parser,
     main,
 )
-from mzduality.qubit import EPS_POS
+from mzduality.qubit import EPS_POS, _checked_rows
 
 Q_STAR = 1.4313558811842468
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -36,7 +38,8 @@ from mzduality import (
     visibility,
     visibility_op,
 )
-from mzduality.entropic import _bias_entropy
+from mzduality import entropic
+from mzduality.entropic import _ARC_BLOCK, _arc_blocks, _bias_entropy
 
 INV_SQRT2 = 2.0**-0.5
 TWO_LN2 = 2.0 * LN2
@@ -312,6 +315,32 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(2.5, 10_000, include_mixed=False)
 
+    @pytest.mark.parametrize("include_mixed", [False, True])
+    def test_arc_runs_on_a_helper_thread_only_beside_the_ball(self, monkeypatch, include_mixed):
+        threads = []
+
+        def recorded(q, n):
+            threads.append(threading.current_thread())
+            return arc_min(q, n)
+
+        arc_min = entropic._arc_min
+        monkeypatch.setattr(entropic, "_arc_min", recorded)
+        brute_force_min(1.7, 10_000, include_mixed, seed=3)
+        assert len(threads) == 1
+        assert (threads[0] is threading.current_thread()) is not include_mixed
+
+    def test_arc_sweep_error_reaches_the_caller(self, monkeypatch):
+        def failing_blocks(n):
+            yield from itertools.islice(arc_blocks(n), 1)
+            raise FloatingPointError("arc block failed")
+
+        arc_blocks = entropic._arc_blocks
+        monkeypatch.setattr(entropic, "_arc_blocks", failing_blocks)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="arc block failed"):
+            brute_force_min(1.7, 10**5, include_mixed=True, seed=3)
+        assert threading.active_count() == before
+
 
 class TestContourGrid:
     def test_shape_axis_and_metadata(self):
@@ -464,8 +493,9 @@ class TestMemoryBound:
             tracemalloc.stop()
 
     def test_brute_force_min(self):
-        # the 8 MB arc grid plus one block of temporaries
-        assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 16e6
+        # one block of ball temporaries plus one arc block on the helper
+        # thread (tracemalloc sees every thread); no arc grid is held
+        assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
 
     def test_random_mixed_bloch(self):
         # the 24 MB result plus one block of draws
@@ -604,6 +634,18 @@ class TestArrayPathsKeepBits:
         assert repr(got.min_value) == repr(want_val)
         assert got.argmin.as_tuple() == want_argmin.as_tuple()
         assert got.n_accepted == want_n
+
+    # sizes around the ball's 2**15 and the arc's 2**13-angle blocks; at 26
+    # and 8 327, (n - 1) * step rounds off pi/2, so the last angle is pinned
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, 26, 8_192, 8_193, 8_327, 10**4, 32_767, 32_768, 32_769, 65_537, 999_983, 10**6,
+         3_000_001],
+    )
+    def test_arc_grid(self, n):
+        blocks = list(_arc_blocks(n))
+        assert all(len(a) <= _ARC_BLOCK for a in blocks)
+        assert same_bits(np.concatenate(blocks), np.linspace(0.0, math.pi / 2.0, n))
 
     @pytest.mark.parametrize("n_states", [10_000, 16_383, 16_384, 16_385, 32_768, 65_537, 250_001])
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.95, 1.0, 1.05, Q_STAR, 2.0])
