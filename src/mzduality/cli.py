@@ -23,12 +23,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -46,7 +44,7 @@ from .entropic import (
     random_pure_bloch,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
-from .qubit import EPS_POS, QubitState, _checked_rows
+from .qubit import EPS_POS, QubitState, _checked_rows, _Record
 from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 
 if TYPE_CHECKING:
@@ -62,14 +60,29 @@ MAX_SEED = 2**64 - 1
 _MZ_BLOCK = 1024  # mz rows formatted by one "%", CSV or JSON
 
 
-@dataclass
-class RunConfig:
-    """Resolved global options for one CLI invocation."""
+class RunConfig(_Record):
+    """Resolved global options for one CLI invocation; mutable, so unhashable."""
 
-    seed: int = 0
-    output_format: str = "csv"
-    output_path: Path | None = None
-    tolerances: dict[str, float] = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
+    seed: int
+    output_format: str
+    output_path: Path | None
+    tolerances: dict[str, float]
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        seed: int = 0,
+        output_format: str = "csv",
+        output_path: Path | None = None,
+        tolerances: dict[str, float] | None = None,
+    ) -> None:
+        self.seed = seed
+        self.output_format = output_format
+        self.output_path = output_path
+        self.tolerances = dict(TOLERANCE_DEFAULTS) if tolerances is None else tolerances
 
 
 def _fmt(x: float) -> str:
@@ -183,8 +196,8 @@ def _resolve_config(ns: argparse.Namespace, parser: _Parser) -> RunConfig:
             v = float(value)
         except ValueError:
             parser.error(f"tolerance {name} needs a float value, got {value!r}")
-        if not v > 0.0 or math.isnan(v):
-            parser.error(f"tolerance {name} must be positive, got {value!r}")
+        if not 0.0 < v < math.inf:  # also rejects NaN
+            parser.error(f"tolerance {name} must be finite and positive, got {value!r}")
         cfg.tolerances[name] = v
     return cfg
 
@@ -241,12 +254,17 @@ def _g17(xs: Sequence[float]) -> list[str]:
     return ("%.17g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
 
 
-_ENCODE_LINES = json.JSONEncoder(separators=("\n", ": ")).encode
+@functools.cache
+def _encode_lines() -> Callable[[Sequence[float]], str]:
+    """One JSON value per line; json is imported on the first JSON output, not by CSV."""
+    import json
+
+    return json.JSONEncoder(separators=("\n", ": ")).encode
 
 
 def _json_floats(xs: Sequence[float]) -> list[str]:
     """json's own spelling of each float (repr, NaN, Infinity), from its C encoder."""
-    return _ENCODE_LINES(xs)[1:-1].split("\n") if xs else []
+    return _encode_lines()(xs)[1:-1].split("\n") if xs else []
 
 
 def _symmetric_rows(
@@ -284,8 +302,7 @@ def _row_blocks(template: str, sep: str, columns: Sequence[Sequence]) -> Iterato
 _JSON_ITEM_SEP = ",\n    "  # between the items of a top-level array under indent=2
 
 
-@dataclass(frozen=True)
-class _JsonArray:
+class _JsonArray(_Record):
     """The value of a top-level field that is a JSON array, streamed item by item.
 
     Each item is already encoded the way json.dumps(payload, indent=2)
@@ -296,9 +313,14 @@ class _JsonArray:
 
     items: Iterable[str]
 
+    def __init__(self, items: Iterable[str]) -> None:
+        self.__dict__["items"] = items
+
 
 def _json_chunks(payload: dict) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\n", one field or array item at a time."""
+    import json
+
     sep = "{\n  "
     for key, value in payload.items():
         yield sep + json.dumps(key) + ": "

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .qubit import (
@@ -32,6 +31,7 @@ from .qubit import (
     ProbPair,
     QubitState,
     _checked_rows,
+    _Record,
     _row_norms_sq,
     _xp,
     probabilities,
@@ -152,8 +152,7 @@ def entropy_sum(p_val: float, v_val: float, q: float) -> float:
     return _bias_entropy(p_val, q) + _bias_entropy(v_val, q)
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(_Record):
     """Constrained minimum of H_q(P) + H_q(V) on the arc P^2 + V^2 = 1.
 
     ``minimizers`` lists (V, P) pairs, in increasing arc angle, of every
@@ -167,6 +166,15 @@ class MinimizationResult:
     min_value: float
     minimizers: tuple[tuple[float, float], ...]
     regime: str
+
+    def __init__(
+        self, q: float, min_value: float, minimizers: tuple[tuple[float, float], ...], regime: str
+    ) -> None:
+        fields = self.__dict__
+        fields["q"] = q
+        fields["min_value"] = min_value
+        fields["minimizers"] = minimizers
+        fields["regime"] = regime
 
 
 def minimize_entropy_sum(q: float) -> MinimizationResult:
@@ -310,8 +318,7 @@ def brute_force_min(
         return min(arc.result(), best)
 
 
-@dataclass(frozen=True, eq=False)
-class ContourGrid:
+class ContourGrid(_Record):
     """Entropy-sum samples on the full unit square of (V, P) pairs.
 
     ``values[i, j]`` holds H_q(V = axis[i]) + H_q(P = axis[j]); the matrix
@@ -324,7 +331,21 @@ class ContourGrid:
     n: int
     axis: np.ndarray
     values: np.ndarray
-    constraint: str = "P^2+V^2=1"
+    constraint: str
+
+    # compared by identity: its arrays have no single truth value
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, q: float, n: int, axis: np.ndarray, values: np.ndarray, constraint: str = "P^2+V^2=1"
+    ) -> None:
+        fields = self.__dict__
+        fields["q"] = q
+        fields["n"] = n
+        fields["axis"] = axis
+        fields["values"] = values
+        fields["constraint"] = constraint
 
     def nearest_value(self, v: float, p: float) -> float:
         """Value at the grid node nearest to (v, p)."""
@@ -368,13 +389,18 @@ def unbiased_saturating_states(theta: float = 0.0) -> list[BlochVector]:
     ]
 
 
-@dataclass(frozen=True)
-class RegionMinimum:
+class RegionMinimum(_Record):
     """Minimum of the entropy sum over a sampled region of the Bloch ball."""
 
     min_value: float
     argmin: BlochVector
     n_accepted: int
+
+    def __init__(self, min_value: float, argmin: BlochVector, n_accepted: int) -> None:
+        fields = self.__dict__
+        fields["min_value"] = min_value
+        fields["argmin"] = argmin
+        fields["n_accepted"] = n_accepted
 
 
 def constrained_min_over_region(

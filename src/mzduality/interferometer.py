@@ -14,13 +14,13 @@ of the output port populations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .qubit import (
     TWO_PI,
     BlochObservable,
     BlochVector,
     QubitState,
+    _Record,
 )
 
 
@@ -62,8 +62,7 @@ def visibility_perp_op(phi: float) -> BlochObservable:
     return BlochObservable(0.0, 1.0, (-math.sin(phi), math.cos(phi), 0.0))
 
 
-@dataclass(frozen=True)
-class FringeScan:
+class FringeScan(_Record):
     """Result of a phase scan of the second beam splitter's output port.
 
     ``v_operational`` = (p_max - p_min)/(p_max + p_min). On an even phase
@@ -78,6 +77,23 @@ class FringeScan:
     phases: tuple[float, ...]
     p_d1: tuple[float, ...]
     p_d2: tuple[float, ...]
+
+    def __init__(
+        self,
+        p_max: float,
+        p_min: float,
+        v_operational: float,
+        phases: tuple[float, ...],
+        p_d1: tuple[float, ...],
+        p_d2: tuple[float, ...],
+    ) -> None:
+        fields = self.__dict__
+        fields["p_max"] = p_max
+        fields["p_min"] = p_min
+        fields["v_operational"] = v_operational
+        fields["phases"] = phases
+        fields["p_d1"] = p_d1
+        fields["p_d2"] = p_d2
 
 
 def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:

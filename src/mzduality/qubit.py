@@ -11,7 +11,6 @@ ever materialized here.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 
 # Construction tolerances (see also the CLI's --tolerance overrides).
 EPS_POS = 1e-9   # Bloch-norm slack: norms in (1, 1+EPS_POS] are renormalized
@@ -50,6 +49,48 @@ def _xp(x):
     return numpy
 
 
+class _Record:
+    """Base of the package's frozen records, in place of ``@dataclass(frozen=True)``.
+
+    The fields are the names annotated in the class body, in order. Each
+    record's own ``__init__`` validates its arguments and writes the fields
+    straight into the instance dict. Equality and hash go over the field
+    values, the repr is the one a dataclass prints, and assignment or
+    deletion raises ``dataclasses.FrozenInstanceError``; ``dataclasses``
+    (and the inspect and ast modules it loads) is imported only then.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 def _dot(u: Vec3, v: Vec3) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -62,8 +103,7 @@ def _cross(u: Vec3, v: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True, init=False)
-class BlochVector:
+class BlochVector(_Record):
     """Real 3-vector inside the unit ball; the full parametrization of a qubit state.
 
     Norms in (1, 1 + eps_pos] are renormalized to exactly 1 to absorb
@@ -85,7 +125,6 @@ class BlochVector:
             )
         if n > 1.0:
             sx, sy, sz = sx / n, sy / n, sz / n
-        # frozen, so the fields go straight into the instance dict, once each
         fields = self.__dict__
         fields["sx"] = sx
         fields["sy"] = sy
@@ -140,8 +179,7 @@ def _checked_rows(rows, eps_pos: float = EPS_POS):
     return rows
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(_Record):
     """Qubit density operator in Bloch form, with the derived state variables.
 
     ``w_plus``/``w_minus`` are the populations of the two computational
@@ -150,6 +188,9 @@ class QubitState:
     """
 
     bloch: BlochVector
+
+    def __init__(self, bloch: BlochVector) -> None:
+        self.__dict__["bloch"] = bloch
 
     @classmethod
     def from_bloch(cls, sx: float, sy: float, sz: float, **kw) -> "QubitState":
@@ -209,8 +250,7 @@ class QubitState:
 MAXIMALLY_MIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class BlochObservable:
+class BlochObservable(_Record):
     """Sharp two-level observable alpha1*I + alpha2*(axis . sigma).
 
     The axis must be a unit vector (within eps_unit); it is stored exactly
@@ -221,20 +261,21 @@ class BlochObservable:
     alpha1: float
     alpha2: float
     axis: Vec3
-    eps_unit: InitVar[float] = EPS_UNIT
 
-    def __post_init__(self, eps_unit: float) -> None:
-        object.__setattr__(self, "alpha1", float(self.alpha1))
-        object.__setattr__(self, "alpha2", float(self.alpha2))
-        if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
-            raise ValueError(f"alpha1, alpha2 must be finite, got {self.alpha1!r}, {self.alpha2!r}")
-        if self.alpha2 == 0.0:
+    def __init__(self, alpha1: float, alpha2: float, axis: Vec3, eps_unit: float = EPS_UNIT) -> None:
+        alpha1, alpha2 = float(alpha1), float(alpha2)
+        if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
+            raise ValueError(f"alpha1, alpha2 must be finite, got {alpha1!r}, {alpha2!r}")
+        if alpha2 == 0.0:
             raise ValueError("alpha2 must be nonzero (observable would be trivial)")
-        ax, ay, az = (float(c) for c in self.axis)
+        ax, ay, az = map(float, axis)
         n = math.sqrt(ax * ax + ay * ay + az * az)
-        if abs(n - 1.0) > eps_unit:
+        if not abs(n - 1.0) <= eps_unit:  # also rejects NaN components
             raise ValueError(f"axis must be a unit vector: ||a|| = {n!r}")
-        object.__setattr__(self, "axis", (ax / n, ay / n, az / n))
+        fields = self.__dict__
+        fields["alpha1"] = alpha1
+        fields["alpha2"] = alpha2
+        fields["axis"] = (ax / n, ay / n, az / n)
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
@@ -249,23 +290,23 @@ class BlochObservable:
         return cls(float(data["alpha1"]), float(data["alpha2"]), (float(ax), float(ay), float(az)))
 
 
-@dataclass(frozen=True)
-class ProbPair:
+class ProbPair(_Record):
     """Two-outcome Born distribution {p+, p-}; must be normalized."""
 
     p_plus: float
     p_minus: float
 
-    def __post_init__(self) -> None:
-        pair = float(self.p_plus), float(self.p_minus)
+    def __init__(self, p_plus: float, p_minus: float) -> None:
+        pair = float(p_plus), float(p_minus)
         for name, p in zip(("p_plus", "p_minus"), pair):
             if not -EPS_NORM <= p <= 1.0 + EPS_NORM:  # also rejects NaN
                 raise ValueError(f"{name} = {p!r} outside [0, 1]")
         if abs(pair[0] + pair[1] - 1.0) > EPS_NORM:
             raise ValueError(f"probabilities must sum to 1: {pair[0]!r} + {pair[1]!r}")
-        for name, p in zip(("p_plus", "p_minus"), pair):
-            # absorb sub-tolerance round-off from |a.s| ~ 1 dot products
-            object.__setattr__(self, name, min(max(p, 0.0), 1.0))
+        # absorb sub-tolerance round-off from |a.s| ~ 1 dot products
+        fields = self.__dict__
+        fields["p_plus"] = min(max(pair[0], 0.0), 1.0)
+        fields["p_minus"] = min(max(pair[1], 0.0), 1.0)
 
     @property
     def max_prob(self) -> float:

@@ -15,11 +15,10 @@ inequality here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .interferometer import predictability, visibility
-from .qubit import BlochObservable, QubitState, _cross, _dot, _xp, overlap
+from .qubit import BlochObservable, QubitState, _cross, _dot, _Record, _xp, overlap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,8 +31,7 @@ LP_ROUNDING = 16 * 2.0**-53
 _LP_RHS = math.sqrt(0.5)  # overlap of sigma_z with any fringe quadrature
 
 
-@dataclass(frozen=True)
-class UncertaintyVerdict:
+class UncertaintyVerdict(_Record):
     """Evaluated inequality: both sides, the slack, and the boolean verdicts.
 
     ``gap`` is oriented so that the relation holds iff gap >= -eps_gap,
@@ -47,6 +45,14 @@ class UncertaintyVerdict:
     gap: float
     holds: bool
     saturated: bool
+
+    def __init__(self, lhs: float, rhs: float, gap: float, holds: bool, saturated: bool) -> None:
+        fields = self.__dict__
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["gap"] = gap
+        fields["holds"] = holds
+        fields["saturated"] = saturated
 
 
 def _verdict_geq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
@@ -192,8 +198,7 @@ def duality_inequality(state: QubitState, eps_gap: float = EPS_GAP) -> Uncertain
     return _verdict_leq(p * p + v * v, 1.0, eps_gap)
 
 
-@dataclass(frozen=True)
-class EquivalenceAudit:
+class EquivalenceAudit(_Record):
     """Joint evaluation of the duality, SR and LP bounds on one state.
 
     SR is taken at phi = theta (the fringe-maximizing phase) and LP in the
@@ -205,6 +210,14 @@ class EquivalenceAudit:
     duality: UncertaintyVerdict
     sr: UncertaintyVerdict
     lp: UncertaintyVerdict
+
+    def __init__(
+        self, duality: UncertaintyVerdict, sr: UncertaintyVerdict, lp: UncertaintyVerdict
+    ) -> None:
+        fields = self.__dict__
+        fields["duality"] = duality
+        fields["sr"] = sr
+        fields["lp"] = lp
 
     @property
     def duality_holds(self) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -226,6 +227,26 @@ def test_unknown_tolerance_name(capsys):
     code, _, err = run(capsys, "--tolerance", "eps_bogus=1", "state", "--bloch", "0,0,0")
     assert code == 1
     assert "eps_bogus" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "infinity", "1e400", "nan", "0", "-1e-9"])
+@pytest.mark.parametrize("name", ["eps_pos", "eps_gap", "band_eps"])
+def test_tolerance_must_be_finite_and_positive(capsys, name, value):
+    # an infinite eps_pos accepted any Bloch vector and an infinite eps_gap any verdict
+    for argv in (["state", "--bloch", "3,0,0"], ["verify", "--n", "20"]):
+        code, out, err = run(capsys, "--tolerance", f"{name}={value}", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"mzduality: error: tolerance {name} must be finite and positive, got '{value}'\n"
+
+
+def test_valid_tolerances_are_echoed(capsys):
+    override = ["eps_pos=1e-3", "eps_gap=1e300", "band_eps=5e-324"]
+    code, out, _ = run(capsys, *(f"--tolerance={t}" for t in override), "state", "--bloch", "0,0,1")
+    assert code == 0
+    assert out.splitlines()[3] == (
+        "# tolerances: band_eps=4.9406564584124654e-324"
+        " eps_gap=1.0000000000000001e+300 eps_pos=0.001"
+    )
 
 
 @pytest.mark.parametrize("where", ["before", "after"])
@@ -508,6 +529,40 @@ def test_scalar_commands_load_no_numpy():
     for command in ("state", "mz", "qscan", "qstar", "verify", "contour"):
         for fmt in ("csv", "json"):
             want[f"{fmt} {command}"] = [0, command in ("verify", "contour")]
+    assert seen == want
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+import mzduality, mzduality.cli as cli
+seen = {"import": (0, "dataclasses" in sys.modules, "json" in sys.modules)}
+commands = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["verify"],
+            ["qscan"], ["qstar"], ["contour"])
+for fmt in ("csv", "json"):  # every CSV run comes before the first JSON run
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--format", fmt, *argv])
+        seen[fmt + " " + argv[0]] = (code, "dataclasses" in sys.modules, "json" in sys.modules)
+print(repr(seen))
+"""
+
+
+def test_commands_load_no_dataclasses_and_csv_loads_no_json():
+    # both cost start-up on every call: dataclasses pulls in inspect and
+    # ast, and json is needed only to write JSON; the probe reports by
+    # repr so that it loads no json itself
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seen = ast.literal_eval(result.stdout)
+    want = {"import": (0, False, False)}
+    for fmt in ("csv", "json"):
+        for command in ("state", "mz", "verify", "qscan", "qstar", "contour"):
+            want[f"{fmt} {command}"] = (0, False, fmt == "json")
     assert seen == want
 
 

@@ -1,0 +1,315 @@
+"""The record classes: construction, repr, equality, hashing, immutability, copies.
+
+Every result and argument type of the package is a small record. These
+tests pin the behaviour callers rely on: the constructor signatures and
+defaults, the repr text, value equality with hashing over the fields
+(identity for ContourGrid), FrozenInstanceError on assignment and
+deletion, pickle and copy round trips, and the validation messages.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import inspect
+import pickle
+
+import numpy as np
+import pytest
+
+from mzduality import (
+    BlochObservable,
+    BlochVector,
+    ContourGrid,
+    EquivalenceAudit,
+    FringeScan,
+    MinimizationResult,
+    ProbPair,
+    QubitState,
+    RegionMinimum,
+    UncertaintyVerdict,
+)
+from mzduality.cli import RunConfig, _JsonArray
+
+VEC = BlochVector(0.6, 0.0, 0.8)
+HOLDS = UncertaintyVerdict(1.0, 0.5, 0.5, True, False)
+SATURATED = UncertaintyVerdict(1.0, 1.0, 0.0, True, True)
+
+# (class, field names, field values, the same record built by keyword, repr text)
+FROZEN = [
+    (
+        BlochVector,
+        ("sx", "sy", "sz"),
+        (0.6, 0.0, 0.8),
+        BlochVector(sx=0.6, sy=0.0, sz=0.8),
+        "BlochVector(sx=0.6, sy=0.0, sz=0.8)",
+    ),
+    (
+        QubitState,
+        ("bloch",),
+        (VEC,),
+        QubitState(bloch=VEC),
+        "QubitState(bloch=BlochVector(sx=0.6, sy=0.0, sz=0.8))",
+    ),
+    (
+        BlochObservable,
+        ("alpha1", "alpha2", "axis"),
+        (0.5, 2.0, (0.0, 0.0, 1.0)),
+        BlochObservable(alpha1=0.5, alpha2=2.0, axis=(0.0, 0.0, 1.0)),
+        "BlochObservable(alpha1=0.5, alpha2=2.0, axis=(0.0, 0.0, 1.0))",
+    ),
+    (
+        ProbPair,
+        ("p_plus", "p_minus"),
+        (0.25, 0.75),
+        ProbPair(p_plus=0.25, p_minus=0.75),
+        "ProbPair(p_plus=0.25, p_minus=0.75)",
+    ),
+    (
+        FringeScan,
+        ("p_max", "p_min", "v_operational", "phases", "p_d1", "p_d2"),
+        (1.0, 0.0, 1.0, (0.0, 3.0), (1.0, 0.0), (0.0, 1.0)),
+        FringeScan(
+            p_max=1.0, p_min=0.0, v_operational=1.0, phases=(0.0, 3.0), p_d1=(1.0, 0.0), p_d2=(0.0, 1.0)
+        ),
+        "FringeScan(p_max=1.0, p_min=0.0, v_operational=1.0, phases=(0.0, 3.0),"
+        " p_d1=(1.0, 0.0), p_d2=(0.0, 1.0))",
+    ),
+    (
+        UncertaintyVerdict,
+        ("lhs", "rhs", "gap", "holds", "saturated"),
+        (1.0, 0.5, 0.5, True, False),
+        UncertaintyVerdict(lhs=1.0, rhs=0.5, gap=0.5, holds=True, saturated=False),
+        "UncertaintyVerdict(lhs=1.0, rhs=0.5, gap=0.5, holds=True, saturated=False)",
+    ),
+    (
+        EquivalenceAudit,
+        ("duality", "sr", "lp"),
+        (HOLDS, SATURATED, HOLDS),
+        EquivalenceAudit(duality=HOLDS, sr=SATURATED, lp=HOLDS),
+        "EquivalenceAudit(duality=UncertaintyVerdict(lhs=1.0, rhs=0.5, gap=0.5, holds=True,"
+        " saturated=False), sr=UncertaintyVerdict(lhs=1.0, rhs=1.0, gap=0.0, holds=True,"
+        " saturated=True), lp=UncertaintyVerdict(lhs=1.0, rhs=0.5, gap=0.5, holds=True,"
+        " saturated=False))",
+    ),
+    (
+        MinimizationResult,
+        ("q", "min_value", "minimizers", "regime"),
+        (0.5, 0.75, ((0.0, 1.0), (1.0, 0.0)), "I"),
+        MinimizationResult(q=0.5, min_value=0.75, minimizers=((0.0, 1.0), (1.0, 0.0)), regime="I"),
+        "MinimizationResult(q=0.5, min_value=0.75, minimizers=((0.0, 1.0), (1.0, 0.0)),"
+        " regime='I')",
+    ),
+    (
+        RegionMinimum,
+        ("min_value", "argmin", "n_accepted"),
+        (0.5, VEC, 3),
+        RegionMinimum(min_value=0.5, argmin=VEC, n_accepted=3),
+        "RegionMinimum(min_value=0.5, argmin=BlochVector(sx=0.6, sy=0.0, sz=0.8), n_accepted=3)",
+    ),
+    (
+        _JsonArray,
+        ("items",),
+        (("1.5", "2.5"),),
+        _JsonArray(items=("1.5", "2.5")),
+        "_JsonArray(items=('1.5', '2.5'))",
+    ),
+]
+FROZEN_IDS = [case[0].__name__ for case in FROZEN]
+
+
+def values_of(record, names):
+    return tuple(getattr(record, name) for name in names)
+
+
+def other_values(values):
+    """The same values with the first one changed to a different value of a valid kind."""
+    first = values[0]
+    if isinstance(first, BlochVector):
+        changed = BlochVector(0.0, 0.0, 1.0)
+    elif isinstance(first, UncertaintyVerdict):
+        changed = SATURATED
+    elif isinstance(first, tuple):
+        changed = ("0.5",)
+    else:
+        changed = first / 2.0
+    if isinstance(first, float) and len(values) == 2:  # ProbPair: keep the sum at 1
+        return (changed, 1.0 - changed)
+    return (changed, *values[1:])
+
+
+@pytest.mark.parametrize("cls, names, values, by_keyword, text", FROZEN, ids=FROZEN_IDS)
+class TestFrozenRecords:
+    def test_positional_and_keyword_construction(self, cls, names, values, by_keyword, text):
+        record = cls(*values)
+        assert values_of(record, names) == values
+        assert values_of(by_keyword, names) == values
+        assert list(inspect.signature(cls).parameters)[: len(names)] == list(names)
+
+    def test_repr(self, cls, names, values, by_keyword, text):
+        assert repr(cls(*values)) == text
+        assert repr(by_keyword) == text
+
+    def test_equality_and_hash(self, cls, names, values, by_keyword, text):
+        record = cls(*values)
+        other = cls(*other_values(values))
+        assert record == by_keyword and not record != by_keyword
+        assert record != other and not record == other
+        assert record != values and not record == values  # another type: never equal
+        assert record.__eq__(values) is NotImplemented
+        assert hash(record) == hash(by_keyword) == hash(tuple(values))
+        assert len({record, by_keyword, other}) == 2
+
+    def test_frozen(self, cls, names, values, by_keyword, text):
+        record = cls(*values)
+        for name in (*names, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        assert values_of(record, names) == values
+
+    def test_pickle_and_copy(self, cls, names, values, by_keyword, text):
+        record = cls(*values)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(twin) is cls
+            assert twin == record and hash(twin) == hash(record)
+            assert values_of(twin, names) == values
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, names[0], None)
+
+
+class TestBlochObservable:
+    def test_eps_unit_defaults_and_is_not_a_field(self):
+        assert inspect.signature(BlochObservable).parameters["eps_unit"].default == 1e-12
+        with pytest.raises(ValueError):
+            BlochObservable(0.0, 1.0, (0.0, 0.0, 1.001))
+        loose = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.001), eps_unit=1e-2)
+        assert loose == BlochObservable(0.0, 1.0, (0.0, 0.0, 1.001), 1e-2)
+        assert loose.axis == (0.0, 0.0, 1.0)
+        assert repr(loose) == "BlochObservable(alpha1=0.0, alpha2=1.0, axis=(0.0, 0.0, 1.0))"
+        assert "eps_unit" not in vars(loose)
+
+    def test_fields_coerced(self):
+        obs = BlochObservable(1, 2, [0, 0, 1])
+        assert obs.axis == (0.0, 0.0, 1.0) and type(obs.axis) is tuple
+        assert all(type(x) is float for x in (obs.alpha1, obs.alpha2, *obs.axis))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((float("inf"), 1.0, (0.0, 0.0, 1.0)), "alpha1, alpha2 must be finite, got inf, 1.0"),
+            ((0.0, float("nan"), (0.0, 0.0, 1.0)), "alpha1, alpha2 must be finite, got 0.0, nan"),
+            ((1.0, 0.0, (0.0, 0.0, 1.0)), "alpha2 must be nonzero (observable would be trivial)"),
+            ((0.0, 1.0, (0.0, 0.0, 2.0)), "axis must be a unit vector: ||a|| = 2.0"),
+        ],
+    )
+    def test_error_messages(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            BlochObservable(*args)
+        assert str(excinfo.value) == message
+
+    def test_nan_axis_rejected(self):
+        # a NaN norm passed the old "> eps_unit" comparison and gave a NaN axis
+        with pytest.raises(ValueError) as excinfo:
+            BlochObservable(0.0, 1.0, (0.0, 0.0, float("nan")))
+        assert str(excinfo.value) == "axis must be a unit vector: ||a|| = nan"
+
+
+class TestProbPair:
+    def test_round_off_clipped_to_unit_interval(self):
+        pair = ProbPair(-1e-13, 1.0 + 1e-13)
+        assert (pair.p_plus, pair.p_minus) == (0.0, 1.0)
+        assert repr(pair) == "ProbPair(p_plus=0.0, p_minus=1.0)"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5, -0.5), "p_plus = 1.5 outside [0, 1]"),
+            ((0.5, float("nan")), "p_minus = nan outside [0, 1]"),
+            ((float("inf"), 0.0), "p_plus = inf outside [0, 1]"),
+            ((0.5, 0.6), "probabilities must sum to 1: 0.5 + 0.6"),
+        ],
+    )
+    def test_error_messages(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            ProbPair(*args)
+        assert str(excinfo.value) == message
+
+
+class TestContourGrid:
+    AXIS = np.array([0.0, 1.0])
+    VALUES = np.array([[0.0, 1.0], [1.0, 2.0]])
+
+    def test_constraint_defaults(self):
+        grid = ContourGrid(1.0, 2, self.AXIS, self.VALUES)
+        assert grid.constraint == "P^2+V^2=1"
+        keyword = ContourGrid(q=1.0, n=2, axis=self.AXIS, values=self.VALUES, constraint="none")
+        assert (keyword.q, keyword.n, keyword.constraint) == (1.0, 2, "none")
+        assert keyword.axis is self.AXIS and keyword.values is self.VALUES
+        assert repr(grid) == (
+            "ContourGrid(q=1.0, n=2, axis=array([0., 1.]), values=array([[0., 1.],\n"
+            "       [1., 2.]]), constraint='P^2+V^2=1')"
+        )
+
+    def test_identity_equality(self):
+        grid = ContourGrid(1.0, 2, self.AXIS, self.VALUES)
+        twin = ContourGrid(1.0, 2, self.AXIS, self.VALUES)
+        assert grid == grid and not grid != grid
+        assert grid != twin and not grid == twin
+        assert hash(grid) == object.__hash__(grid)
+        assert len({grid, twin}) == 2
+
+    def test_frozen_and_copies(self):
+        grid = ContourGrid(1.0, 2, self.AXIS, self.VALUES)
+        for name in ("q", "values", "constraint"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(grid, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(grid, name)
+        for twin in (pickle.loads(pickle.dumps(grid)), copy.copy(grid)):
+            assert type(twin) is ContourGrid and twin != grid
+            assert (twin.q, twin.n, twin.constraint) == (1.0, 2, "P^2+V^2=1")
+            assert np.array_equal(twin.axis, self.AXIS) and np.array_equal(twin.values, self.VALUES)
+
+
+class TestRunConfig:
+    def test_defaults(self):
+        cfg = RunConfig()
+        assert (cfg.seed, cfg.output_format, cfg.output_path) == (0, "csv", None)
+        assert cfg.tolerances == {"eps_pos": 1e-09, "eps_gap": 1e-09, "band_eps": 1e-06}
+        assert RunConfig().tolerances is not cfg.tolerances  # a fresh dict per config
+        assert repr(cfg) == (
+            "RunConfig(seed=0, output_format='csv', output_path=None,"
+            " tolerances={'eps_pos': 1e-09, 'eps_gap': 1e-09, 'band_eps': 1e-06})"
+        )
+
+    def test_positional_and_keyword_construction(self):
+        tol = {"eps_gap": 0.5}
+        cfg = RunConfig(7, "json", None, tol)
+        assert cfg == RunConfig(seed=7, output_format="json", tolerances={"eps_gap": 0.5})
+        assert cfg.tolerances is tol
+        assert repr(cfg) == (
+            "RunConfig(seed=7, output_format='json', output_path=None, tolerances={'eps_gap': 0.5})"
+        )
+        assert list(inspect.signature(RunConfig).parameters) == [
+            "seed", "output_format", "output_path", "tolerances"
+        ]
+
+    def test_mutable_and_unhashable(self):
+        cfg = RunConfig()
+        cfg.seed = 3
+        cfg.tolerances["eps_gap"] = 0.5
+        assert cfg == RunConfig(3, tolerances={"eps_pos": 1e-09, "eps_gap": 0.5, "band_eps": 1e-06})
+        assert cfg != RunConfig() and not cfg == RunConfig()
+        assert cfg != (3, "csv", None, cfg.tolerances)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cfg)
+        del cfg.output_path
+        assert "output_path" not in vars(cfg)
+
+    def test_pickle_and_copy(self):
+        cfg = RunConfig(5, "json")
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg)):
+            assert type(twin) is RunConfig and twin == cfg
+        assert copy.copy(cfg).tolerances is cfg.tolerances  # shallow
