@@ -20,7 +20,6 @@ detected by verify.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import math
@@ -29,6 +28,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -55,6 +55,7 @@ TOLERANCE_DEFAULTS = {
     "eps_gap": EPS_GAP,
     "band_eps": BAND_EPS,
 }
+_TOLERANCE_NAMES = ", ".join(sorted(TOLERANCE_DEFAULTS))
 
 MAX_SEED = 2**64 - 1
 _MZ_BLOCK = 1024  # mz rows formatted by one "%", CSV or JSON
@@ -91,115 +92,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for
-    # property violations here, so remap usage errors to 1. A subcommand's
-    # parser reports under the tool's name too, so every error is one
-    # "mzduality: error: ..." line.
-    def error(self, message: str) -> None:
-        self.exit(1, f"mzduality: error: {message}\n")
-
-
-def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
-    # the same flags hang off the root parser and every subparser; the
-    # subparser copies default to SUPPRESS so they don't clobber values
-    # already parsed from before the subcommand name
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=(d if suppress else 0),
-        help="RNG seed for sampled states (default 0)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=(d if suppress else "csv"),
-        help="output format (default csv)",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=(d if suppress else None),
-        help="write output to this path instead of stdout",
-    )
-    parser.add_argument(
-        "--tolerance",
-        action="append",
-        metavar="NAME=VALUE",
-        default=(d if suppress else []),
-        help="override a named tolerance (repeatable); known names: "
-        + ", ".join(sorted(TOLERANCE_DEFAULTS)),
-    )
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    # built once per process: parsing leaves the parser and its defaults
-    # unchanged (append actions copy their default list before appending)
-    parser = _Parser(prog="mzduality", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"mzduality {__version__}")
-    _add_common(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_state = sub.add_parser("state", help="duality and uncertainty report for one state")
-    p_state.add_argument("--bloch", metavar="SX,SY,SZ", help="Bloch components")
-    p_state.add_argument("--wrt", metavar="W,R,THETA", help="(w_plus, r, theta) parametrization")
-    _add_common(p_state, suppress=True)
-
-    p_mz = sub.add_parser("mz", help="fringe scan of a state sent through the interferometer")
-    p_mz.add_argument("--bloch", metavar="SX,SY,SZ", required=True, help="source state")
-    p_mz.add_argument("--phases", type=int, default=360, help="phase grid size (default 360)")
-    _add_common(p_mz, suppress=True)
-
-    p_verify = sub.add_parser("verify", help="audit the equivalent bounds on random states")
-    p_verify.add_argument("--n", type=int, default=1000, help="number of states (default 1000)")
-    _add_common(p_verify, suppress=True)
-
-    p_qscan = sub.add_parser("qscan", help="constrained entropy-sum minima over a q range")
-    p_qscan.add_argument("--qmin", type=float, default=0.25)
-    p_qscan.add_argument("--qmax", type=float, default=2.0)
-    p_qscan.add_argument("--steps", type=int, default=8)
-    _add_common(p_qscan, suppress=True)
-
-    p_qstar = sub.add_parser("qstar", help="critical Renyi index q*")
-    p_qstar.add_argument("--tol", type=float, default=1e-10, help="root tolerance (default 1e-10)")
-    _add_common(p_qstar, suppress=True)
-
-    p_contour = sub.add_parser("contour", help="entropy-sum grid over the (V, P) square")
-    p_contour.add_argument("--q", type=float, default=1.0)
-    p_contour.add_argument("--n", type=int, default=129, help="grid side (default 129)")
-    _add_common(p_contour, suppress=True)
-
-    return parser
-
-
-def _resolve_config(ns: argparse.Namespace, parser: _Parser) -> RunConfig:
-    cfg = RunConfig()
-    cfg.seed = int(ns.seed)
-    if not 0 <= cfg.seed <= MAX_SEED:
-        parser.error(f"--seed must lie in [0, 2^64), got {cfg.seed}")
-    cfg.output_format = ns.format
-    cfg.output_path = ns.out
-    for item in ns.tolerance:
-        name, sep, value = item.partition("=")
-        if not sep:
-            parser.error(f"--tolerance expects NAME=VALUE, got {item!r}")
-        if name not in TOLERANCE_DEFAULTS:
-            parser.error(
-                f"unknown tolerance {name!r}; known names: "
-                + ", ".join(sorted(TOLERANCE_DEFAULTS))
-            )
-        try:
-            v = float(value)
-        except ValueError:
-            parser.error(f"tolerance {name} needs a float value, got {value!r}")
-        if not 0.0 < v < math.inf:  # also rejects NaN
-            parser.error(f"tolerance {name} must be finite and positive, got {value!r}")
-        cfg.tolerances[name] = v
-    return cfg
 
 
 def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
@@ -337,7 +229,7 @@ def _json_chunks(payload: dict) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _state_from_args(ns: argparse.Namespace, cfg: RunConfig) -> QubitState:
+def _state_from_args(ns: SimpleNamespace, cfg: RunConfig) -> QubitState:
     given = [opt for opt in ("bloch", "wrt") if getattr(ns, opt, None) is not None]
     if len(given) != 1:
         raise ValueError("exactly one of --bloch or --wrt is required")
@@ -348,7 +240,7 @@ def _state_from_args(ns: argparse.Namespace, cfg: RunConfig) -> QubitState:
     return QubitState.from_weights(w, r, theta)
 
 
-def cmd_state(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_state(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     state = _state_from_args(ns, cfg)
     audit = equivalence_audit(state, cfg.tolerances["eps_gap"])
     scalars: list[tuple[str, str]] = [
@@ -390,7 +282,7 @@ def cmd_state(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_mz(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     inside = apply_beam_splitter(_state_from_args(ns, cfg))
     scan = fringe_scan(inside, ns.phases)
     v_analytic = visibility(inside)
@@ -419,7 +311,7 @@ def cmd_mz(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_verify(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     if ns.n < 1:
         raise ValueError(f"--n must be at least 1, got {ns.n}")
     import numpy as np
@@ -460,7 +352,7 @@ def cmd_verify(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0 if ok else 2
 
 
-def cmd_qscan(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     if not 0.0 < ns.qmin <= ns.qmax <= 2.0:
         raise ValueError(
             f"need 0 < qmin <= qmax <= 2 (pure-state reduction is concavity-"
@@ -502,7 +394,7 @@ def cmd_qscan(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-def cmd_qstar(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_qstar(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     q_star = find_q_star(ns.tol)
     inv = 1.0 / math.sqrt(2.0)
     residual = entropy_sum(inv, inv, q_star) - LN2
@@ -519,7 +411,7 @@ def cmd_qstar(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-def cmd_contour(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_contour(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     grid = contour_grid(ns.q, ns.n)
     if cfg.output_format == "json":
         inner = "\n      "
@@ -553,34 +445,161 @@ def cmd_contour(ns: argparse.Namespace, cfg: RunConfig, argv: list[str]) -> int:
     return 0
 
 
-_COMMANDS = {
-    "state": cmd_state,
-    "mz": cmd_mz,
-    "verify": cmd_verify,
-    "qscan": cmd_qscan,
-    "qstar": cmd_qstar,
-    "contour": cmd_contour,
+# The option table. Each option maps to (convert, default, metavar, help).
+# convert is int, float, str or Path; a tuple of the allowed values; list for
+# a repeatable option whose values accumulate in argv order; or None for a
+# flag that prints and exits. A default of ... marks a required option.
+_COMMON = {  # valid before and after the command
+    "--seed": (int, 0, "SEED", "RNG seed for sampled states"),
+    "--format": (("csv", "json"), "csv", "{csv,json}", "output format"),
+    "--out": (Path, None, "OUT", "write output to this path instead of stdout"),
+    "--tolerance": (
+        list, [], "NAME=VALUE", "override a named tolerance (repeatable): " + _TOLERANCE_NAMES
+    ),
+    "--help": (None, None, "", "show this help and exit"),
 }
+_ROOT = {**_COMMON, "--version": (None, None, "", "print the version and exit")}
+_COMMANDS = {  # name -> (function, help, the command's own options)
+    "state": (cmd_state, "duality and uncertainty report for one state", {
+        "--bloch": (str, None, "SX,SY,SZ", "Bloch components"),
+        "--wrt": (str, None, "W,R,THETA", "(w_plus, r, theta) parametrization"),
+    }),
+    "mz": (cmd_mz, "fringe scan of a state sent through the interferometer", {
+        "--bloch": (str, ..., "SX,SY,SZ", "source state"),
+        "--phases": (int, 360, "PHASES", "phase grid size"),
+    }),
+    "verify": (cmd_verify, "audit the equivalent bounds on random states", {
+        "--n": (int, 1000, "N", "number of states"),
+    }),
+    "qscan": (cmd_qscan, "constrained entropy-sum minima over a q range", {
+        "--qmin": (float, 0.25, "QMIN", "smallest Renyi index"),
+        "--qmax": (float, 2.0, "QMAX", "largest Renyi index"),
+        "--steps": (int, 8, "STEPS", "number of indices"),
+    }),
+    "qstar": (cmd_qstar, "critical Renyi index q*", {
+        "--tol": (float, 1e-10, "TOL", "root tolerance"),
+    }),
+    "contour": (cmd_contour, "entropy-sum grid over the (V, P) square", {
+        "--q": (float, 1.0, "Q", "Renyi index"),
+        "--n": (int, 129, "N", "grid side"),
+    }),
+}
+
+
+def _help(command: str, table: dict[str, tuple]) -> str:
+    """The --help text of one position, from its option table."""
+    if command:
+        lines = [f"usage: mzduality [options] {command} [options]", "", _COMMANDS[command][1]]
+    else:
+        lines = ["usage: mzduality [options] COMMAND [options]", "", __doc__.splitlines()[0]]
+        lines += ["", "commands:"] + [f"  {k:<9} {v[1]}" for k, v in _COMMANDS.items()]
+    lines += ["", "options:"]
+    for name, (convert, default, metavar, text) in table.items():
+        flag = "-h, --help" if name == "--help" else f"{name} {metavar}".rstrip()
+        if default is ...:
+            text += " (required)"
+        elif default not in (None, []):
+            text += f" (default {default})"
+        lines.append(f"  {flag:<23} {text}")
+    return _lines(lines)
+
+
+def _show(text: str, cfg: None, argv: list[str]) -> int:
+    """Run -h/--help or --version: print their text."""
+    sys.stdout.write(text)
+    return 0
+
+
+def _check_choice(what: str, value: str, choices: Iterable[str]) -> None:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise ValueError(f"argument {what}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _parse(argv: list[str]) -> tuple[Callable[..., int], object, RunConfig | None]:
+    """The function to run, its options and the run's config, from argv.
+
+    An option is matched by its exact name, else by a unique prefix among
+    the options valid at its position; it takes its value from "=VALUE" or
+    else from the next token, unless that starts with "--". -h/--help and
+    --version return _show and the text to print. Usage errors raise
+    ValueError.
+    """
+    command, table = "", _ROOT
+    values: dict[str, object] = {}
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            if command:
+                raise ValueError(f"unrecognized arguments: {arg}")
+            _check_choice("COMMAND", arg, _COMMANDS)
+            command, table = arg, {**_COMMANDS[arg][2], **_COMMON}
+            continue
+        name, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        prefixed = [n for n in table if len(name) > 2 and n.startswith(name)]
+        found = [name] if name in table else prefixed
+        if len(found) != 1:
+            if found:
+                raise ValueError(f"ambiguous option: {name} could match {', '.join(found)}")
+            raise ValueError(f"unrecognized arguments: {arg}")
+        name = found[0]
+        convert = table[name][0]
+        if convert is None:
+            if eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            text = _help(command, table) if name == "--help" else f"mzduality {__version__}\n"
+            return _show, text, None
+        if not eq:
+            value = next(args, "--")
+            if value.startswith("--"):
+                raise ValueError(f"argument {name}: expected one argument")
+        if convert is list:
+            value = [*values.get(name, ()), value]
+        elif isinstance(convert, tuple):
+            _check_choice(name, value, convert)
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                kind = convert.__name__
+                raise ValueError(f"argument {name}: invalid {kind} value: {value!r}") from None
+        values[name] = value
+    if not command:
+        raise ValueError("the following arguments are required: COMMAND")
+    ns = {name[2:]: values.get(name, spec[1]) for name, spec in table.items() if spec[0]}
+    missing = [f"--{key}" for key, value in ns.items() if value is ...]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    cfg = _config(ns)
+    return _COMMANDS[command][0], SimpleNamespace(**ns), cfg
+
+
+def _config(ns: dict[str, object]) -> RunConfig:
+    """The run's config from the parsed root options, which it removes from ns."""
+    cfg = RunConfig(ns.pop("seed"), ns.pop("format"), ns.pop("out"))
+    if not 0 <= cfg.seed <= MAX_SEED:
+        raise ValueError(f"--seed must lie in [0, 2^64), got {cfg.seed}")
+    for item in ns.pop("tolerance"):
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"--tolerance expects NAME=VALUE, got {item!r}")
+        if name not in TOLERANCE_DEFAULTS:
+            raise ValueError(f"unknown tolerance {name!r}; known names: {_TOLERANCE_NAMES}")
+        try:
+            v = float(value)
+        except ValueError:
+            raise ValueError(f"tolerance {name} needs a float value, got {value!r}") from None
+        if not 0.0 < v < math.inf:  # also rejects NaN
+            raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
+        cfg.tolerances[name] = v  # in argv order, so the last value of a name wins
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args: list[str] = []
-    for arg in argv:  # "--bloch V" as "--bloch=V": argparse reads "-1,0,0" as an option
-        opt = args[-1] if args else ""  # or a prefix such as --blo, which argparse expands
-        glue = len(opt) > 2 and ("--bloch".startswith(opt) or "--wrt".startswith(opt))
-        if glue and not arg.startswith("--"):
-            args[-1] += "=" + arg
-        else:
-            args.append(arg)
     try:
-        ns = parser.parse_args(args)
-        cfg = _resolve_config(ns, parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = _COMMANDS[ns.command](ns, cfg, argv)
+        run, ns, cfg = _parse(argv)
+        code = run(ns, cfg, argv)
         sys.stdout.flush()  # a pipe closed before the last write breaks here, not at exit
         return code
     except BrokenPipeError:

@@ -36,7 +36,6 @@ from mzduality.cli import (
     _meta_dict,
     _meta_lines,
     _symmetric_rows,
-    build_parser,
     main,
 )
 from mzduality.qubit import EPS_POS, _checked_rows
@@ -251,7 +250,6 @@ def test_valid_tolerances_are_echoed(capsys):
 
 @pytest.mark.parametrize("where", ["before", "after"])
 def test_reused_parser_starts_each_run_from_the_defaults(capsys, where):
-    assert build_parser() is build_parser()
     override = ["--tolerance", "eps_gap=0.3", "--seed", "7", "--format", "json"]
     argv = ["verify", "--n", "20"]
     first = override + argv if where == "before" else argv + override
@@ -535,22 +533,25 @@ def test_scalar_commands_load_no_numpy():
 STARTUP_PROBE = """
 import contextlib, io, sys
 import mzduality, mzduality.cli as cli
-seen = {"import": (0, "dataclasses" in sys.modules, "json" in sys.modules)}
+def loaded():
+    return tuple(m in sys.modules for m in ("dataclasses", "json", "argparse", "gettext", "locale"))
+seen = {"import": (0, *loaded())}
 commands = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["verify"],
             ["qscan"], ["qstar"], ["contour"])
 for fmt in ("csv", "json"):  # every CSV run comes before the first JSON run
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--format", fmt, *argv])
-        seen[fmt + " " + argv[0]] = (code, "dataclasses" in sys.modules, "json" in sys.modules)
+        seen[fmt + " " + argv[0]] = (code, *loaded())
 print(repr(seen))
 """
 
 
 def test_commands_load_no_dataclasses_and_csv_loads_no_json():
-    # both cost start-up on every call: dataclasses pulls in inspect and
-    # ast, and json is needed only to write JSON; the probe reports by
-    # repr so that it loads no json itself
+    # each costs start-up on every call: dataclasses pulls in inspect and
+    # ast, json is needed only to write JSON, and argparse brings gettext,
+    # whose first message lookup imports locale; the probe reports by repr
+    # so that it loads no json itself
     result = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE],
         env=package_env(),
@@ -559,10 +560,10 @@ def test_commands_load_no_dataclasses_and_csv_loads_no_json():
         check=True,
     )
     seen = ast.literal_eval(result.stdout)
-    want = {"import": (0, False, False)}
+    want = {"import": (0, False, False, False, False, False)}
     for fmt in ("csv", "json"):
         for command in ("state", "mz", "verify", "qscan", "qstar", "contour"):
-            want[f"{fmt} {command}"] = (0, False, fmt == "json")
+            want[f"{fmt} {command}"] = (0, False, fmt == "json", False, False, False)
     assert seen == want
 
 
@@ -577,9 +578,8 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_version_flag(capsys):
-    code, out, _ = run(capsys, "--version")
-    assert code == 0
-    assert out.startswith("mzduality ")
+    for flag in ("--version", "--vers"):
+        assert run(capsys, flag) == (0, f"mzduality {mzduality.__version__}\n", "")
 
 
 def test_meta_block_lists_tolerances(capsys):
