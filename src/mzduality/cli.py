@@ -9,13 +9,16 @@ grid over the (V, P) square).
 Output is CSV (default) or JSON, to stdout or --out, always preceded by a
 metadata block recording tool version, the exact command line, the seed
 and the active tolerances. Identical invocations produce byte-identical
-output; the JSON text is exactly ``json.dumps(payload, indent=2)`` plus a
-newline. Large tables are formatted and written a row or a block of rows
-at a time, after all computation and validation are done. Angles are
-radians; floats are printed with 17 significant digits. Exit codes: 0
-success, 1 usage or validation error, or stdout closed by its reader
-(nothing more is written and stderr stays empty), 2 property violation
-detected by verify.
+output on the same Python, numpy and C library, on CPUs with the same SIMD
+features; ``contour`` does not yet hold that across CPUs, since numpy's
+AVX-512 loops round its entropies differently (``contour --q 1.5 --n 65``
+under ``NPY_DISABLE_CPU_FEATURES=X86_V4``; ROADMAP item 2). The JSON text
+is exactly ``json.dumps(payload, indent=2)`` plus a newline. Large tables
+are formatted and written a row or a block of rows at a time, after all
+computation and validation are done. Angles are radians; floats are
+printed with 17 significant digits. Exit codes: 0 success, 1 usage or
+validation error, or stdout closed by its reader (nothing more is written
+and stderr stays empty), 2 property violation detected by verify.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .entropic import (
@@ -47,7 +48,10 @@ from .interferometer import apply_beam_splitter, fringe_scan, predictability, vi
 from .qubit import EPS_POS, QubitState, _checked_rows, _Record
 from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 
+TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Iterator, Sequence
+
     import numpy as np
 
 TOLERANCE_DEFAULTS = {
@@ -204,9 +208,6 @@ class _JsonArray(_Record):
     """
 
     items: Iterable[str]
-
-    def __init__(self, items: Iterable[str]) -> None:
-        self.__dict__["items"] = items
 
 
 def _json_chunks(payload: dict) -> Iterator[str]:

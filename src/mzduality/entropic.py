@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .qubit import (
     BlochObservable,
@@ -37,6 +36,7 @@ from .qubit import (
     probabilities,
 )
 
+TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
     import numpy as np
 
@@ -166,15 +166,6 @@ class MinimizationResult(_Record):
     min_value: float
     minimizers: tuple[tuple[float, float], ...]
     regime: str
-
-    def __init__(
-        self, q: float, min_value: float, minimizers: tuple[tuple[float, float], ...], regime: str
-    ) -> None:
-        fields = self.__dict__
-        fields["q"] = q
-        fields["min_value"] = min_value
-        fields["minimizers"] = minimizers
-        fields["regime"] = regime
 
 
 def minimize_entropy_sum(q: float) -> MinimizationResult:
@@ -331,21 +322,11 @@ class ContourGrid(_Record):
     n: int
     axis: np.ndarray
     values: np.ndarray
-    constraint: str
+    constraint: str = "P^2+V^2=1"
 
     # compared by identity: its arrays have no single truth value
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self, q: float, n: int, axis: np.ndarray, values: np.ndarray, constraint: str = "P^2+V^2=1"
-    ) -> None:
-        fields = self.__dict__
-        fields["q"] = q
-        fields["n"] = n
-        fields["axis"] = axis
-        fields["values"] = values
-        fields["constraint"] = constraint
 
     def nearest_value(self, v: float, p: float) -> float:
         """Value at the grid node nearest to (v, p)."""
@@ -395,12 +376,6 @@ class RegionMinimum(_Record):
     min_value: float
     argmin: BlochVector
     n_accepted: int
-
-    def __init__(self, min_value: float, argmin: BlochVector, n_accepted: int) -> None:
-        fields = self.__dict__
-        fields["min_value"] = min_value
-        fields["argmin"] = argmin
-        fields["n_accepted"] = n_accepted
 
 
 def constrained_min_over_region(

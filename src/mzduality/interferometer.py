@@ -78,23 +78,6 @@ class FringeScan(_Record):
     p_d1: tuple[float, ...]
     p_d2: tuple[float, ...]
 
-    def __init__(
-        self,
-        p_max: float,
-        p_min: float,
-        v_operational: float,
-        phases: tuple[float, ...],
-        p_d1: tuple[float, ...],
-        p_d2: tuple[float, ...],
-    ) -> None:
-        fields = self.__dict__
-        fields["p_max"] = p_max
-        fields["p_min"] = p_min
-        fields["v_operational"] = v_operational
-        fields["phases"] = phases
-        fields["p_d1"] = p_d1
-        fields["p_d2"] = p_d2
-
 
 def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:
     """Scan phi over n_phases equispaced points in [0, 2*pi).

@@ -49,21 +49,68 @@ def _xp(x):
     return numpy
 
 
+class _Signature:
+    """A record class's ``inspect.signature``: its fields, if it takes ``_Record.__init__``.
+
+    Gives None for a class with its own ``__init__``, which ``inspect`` then
+    reads; ``inspect`` is imported only when asked.
+    """
+
+    def __get__(self, record, cls):
+        if cls.__init__ is not _Record.__init__:
+            return None
+        from inspect import Parameter as P, Signature
+
+        defaults = vars(cls)
+        return Signature(
+            [P(n, P.POSITIONAL_OR_KEYWORD, default=defaults.get(n, P.empty)) for n in cls._fields]
+        )
+
+
 class _Record:
     """Base of the package's frozen records, in place of ``@dataclass(frozen=True)``.
 
-    The fields are the names annotated in the class body, in order. Each
-    record's own ``__init__`` validates its arguments and writes the fields
-    straight into the instance dict. Equality and hash go over the field
+    The fields are the names annotated in the class body, in order, and a
+    field's default is the class attribute of its name. ``__init__`` binds
+    arguments to fields by a dataclass's rules and stores them in field
+    order; its ``TypeError`` names the class and the argument, worded a
+    little apart from Python's own. It costs about 2 us a record, by
+    position or by keyword, against 0.4-0.8 us for a hand-written one.
+    Records that validate or coerce their input, or need a fresh default,
+    keep their own ``__init__``. Equality and hash go over the field
     values, the repr is the one a dataclass prints, and assignment or
     deletion raises ``dataclasses.FrozenInstanceError``; ``dataclasses``
     (and the inspect and ast modules it loads) is imported only then.
     """
 
     _fields = ()
+    __signature__ = _Signature()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} positional arguments"
+                f" but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            kwargs[name] = value
+        defaults, fields = vars(cls), self.__dict__
+        for name in names:
+            if name in kwargs:
+                fields[name] = kwargs.pop(name)
+            elif name in defaults:
+                fields[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing required argument: {name!r}")
+        if kwargs:
+            unknown = next(iter(kwargs))
+            raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {unknown!r}")
 
     def __setattr__(self, name: str, value) -> None:
         from dataclasses import FrozenInstanceError
@@ -188,9 +235,6 @@ class QubitState(_Record):
     """
 
     bloch: BlochVector
-
-    def __init__(self, bloch: BlochVector) -> None:
-        self.__dict__["bloch"] = bloch
 
     @classmethod
     def from_bloch(cls, sx: float, sy: float, sz: float, **kw) -> "QubitState":

@@ -15,11 +15,11 @@ inequality here.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .interferometer import predictability, visibility
 from .qubit import BlochObservable, QubitState, _cross, _dot, _Record, _xp, overlap
 
+TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
     import numpy as np
 
@@ -45,14 +45,6 @@ class UncertaintyVerdict(_Record):
     gap: float
     holds: bool
     saturated: bool
-
-    def __init__(self, lhs: float, rhs: float, gap: float, holds: bool, saturated: bool) -> None:
-        fields = self.__dict__
-        fields["lhs"] = lhs
-        fields["rhs"] = rhs
-        fields["gap"] = gap
-        fields["holds"] = holds
-        fields["saturated"] = saturated
 
 
 def _verdict_geq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
@@ -210,14 +202,6 @@ class EquivalenceAudit(_Record):
     duality: UncertaintyVerdict
     sr: UncertaintyVerdict
     lp: UncertaintyVerdict
-
-    def __init__(
-        self, duality: UncertaintyVerdict, sr: UncertaintyVerdict, lp: UncertaintyVerdict
-    ) -> None:
-        fields = self.__dict__
-        fields["duality"] = duality
-        fields["sr"] = sr
-        fields["lp"] = lp
 
     @property
     def duality_holds(self) -> bool:

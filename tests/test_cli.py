@@ -567,6 +567,41 @@ def test_commands_load_no_dataclasses_and_csv_loads_no_json():
     assert seen == want
 
 
+BARE_PROBE = """
+import contextlib, io, sys
+import mzduality.cli as cli
+def loaded():
+    return [m for m in ("typing", "collections.abc", "inspect", "numpy") if m in sys.modules]
+seen = {"import": (0, loaded())}
+commands = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["qscan"], ["qstar"])
+for fmt in ("csv", "json"):
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--format", fmt, *argv])
+        seen[fmt + " " + argv[0]] = (code, loaded())
+print(repr(seen))
+"""
+
+
+def test_scalar_commands_on_a_bare_interpreter_load_no_typing():
+    # -S skips the site hook, which may preload typing and hide an import,
+    # and leaves site-packages off sys.path, so numpy cannot load either
+    src_root = str(Path(mzduality.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", BARE_PROBE],
+        env=dict(os.environ, PYTHONPATH=src_root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seen = ast.literal_eval(result.stdout)
+    want = {"import": (0, [])}
+    for fmt in ("csv", "json"):
+        for command in ("state", "mz", "qscan", "qstar"):
+            want[f"{fmt} {command}"] = (0, [])
+    assert seen == want
+
+
 def test_bad_seed_rejected(capsys):
     code, _, _ = run(capsys, "--seed", "-1", "verify", "--n", "5")
     assert code == 1

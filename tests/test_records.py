@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from mzduality import (
     UncertaintyVerdict,
 )
 from mzduality.cli import RunConfig, _JsonArray
+from mzduality.qubit import _Record
 
 VEC = BlochVector(0.6, 0.0, 0.8)
 HOLDS = UncertaintyVerdict(1.0, 0.5, 0.5, True, False)
@@ -313,3 +315,64 @@ class TestRunConfig:
         for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg)):
             assert type(twin) is RunConfig and twin == cfg
         assert copy.copy(cfg).tolerances is cfg.tolerances  # shallow
+
+
+def all_records(cls=_Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_records(sub)
+
+
+def test_every_record_is_pinned():
+    # a new record must join FROZEN or get its own test class, so that its
+    # equality, hash, pickle and immutability are checked like the others'
+    own_tests = {ContourGrid: TestContourGrid, RunConfig: TestRunConfig}
+    pinned = {case[0] for case in FROZEN} | set(own_tests)
+    records = {cls for cls in all_records() if cls.__module__.startswith("mzduality")}
+    assert ContourGrid in records and _JsonArray in records
+    assert sorted(cls.__qualname__ for cls in records - pinned) == []
+
+
+BASE_INIT = [case for case in FROZEN if case[0].__init__ is _Record.__init__]
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, by_keyword, text", BASE_INIT, ids=[case[0].__name__ for case in BASE_INIT]
+)
+class TestBaseConstructor:
+    def test_takes_the_base_init(self, cls, names, values, by_keyword, text):
+        assert "__init__" not in vars(cls)
+        assert str(inspect.signature(cls)) == f"({', '.join(names)})"
+        shuffled = dict(reversed(list(zip(names, values))))
+        assert list(vars(cls(**shuffled))) == list(names)  # fields stored in field order
+        assert cls(values[0], **dict(zip(names[1:], values[1:]))) == by_keyword
+
+    def test_too_many_positional_arguments(self, cls, names, values, by_keyword, text):
+        message = f"{cls.__name__}() takes {len(names)} positional arguments but {len(names) + 1} were given"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls(*values, values[0])
+
+    def test_unknown_keyword(self, cls, names, values, by_keyword, text):
+        message = f"{cls.__name__}() got an unexpected keyword argument 'extra'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls(*values, extra=values[0])
+
+    def test_value_by_position_and_by_keyword(self, cls, names, values, by_keyword, text):
+        message = f"{cls.__name__}() got multiple values for argument '{names[0]}'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls(*values, **{names[0]: values[0]})
+
+    def test_missing_field(self, cls, names, values, by_keyword, text):
+        message = f"{cls.__name__}() missing required argument: '{names[-1]}'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cls(**dict(zip(names[:-1], values)))
+
+
+def test_contour_grid_signature_lists_the_default():
+    assert str(inspect.signature(ContourGrid)) == "(q, n, axis, values, constraint='P^2+V^2=1')"
+    grid = ContourGrid(1.0, 2, TestContourGrid.AXIS, TestContourGrid.VALUES)
+    assert list(vars(grid)) == ["q", "n", "axis", "values", "constraint"]
+    with pytest.raises(TypeError, match=re.escape("ContourGrid() missing required argument: 'values'")):
+        ContourGrid(1.0, 2, axis=TestContourGrid.AXIS, constraint="none")
