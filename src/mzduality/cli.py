@@ -9,16 +9,15 @@ grid over the (V, P) square).
 Output is CSV (default) or JSON, to stdout or --out, always preceded by a
 metadata block recording tool version, the exact command line, the seed
 and the active tolerances. Identical invocations produce byte-identical
-output on the same Python, numpy and C library, on CPUs with the same SIMD
-features; ``contour`` does not yet hold that across CPUs, since numpy's
-AVX-512 loops round its entropies differently (``contour --q 1.5 --n 65``
-under ``NPY_DISABLE_CPU_FEATURES=X86_V4``; ROADMAP item 2). The JSON text
-is exactly ``json.dumps(payload, indent=2)`` plus a newline. Large tables
-are formatted and written a row or a block of rows at a time, after all
-computation and validation are done. Angles are radians; floats are
-printed with 17 significant digits. Exit codes: 0 success, 1 usage or
-validation error, or stdout closed by its reader (nothing more is written
-and stderr stays empty), 2 property violation detected by verify.
+output on the same Python, numpy and C library, on CPUs that take the
+same libm variant (glibc picks its ``log``, ``pow`` or ``cos`` by CPU
+features). The JSON text is exactly ``json.dumps(payload, indent=2)`` plus
+a newline. Large tables are formatted and written a row or a block of rows
+at a time, after all computation and validation are done. Angles are
+radians; floats are printed with 17 significant digits. Exit codes: 0
+success, 1 usage or validation error, or stdout closed by its reader
+(nothing more is written and stderr stays empty), 2 property violation
+detected by verify.
 """
 
 from __future__ import annotations
@@ -29,15 +28,16 @@ import math
 import os
 import sys
 from itertools import chain
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
 from .entropic import (
     BAND_EPS,
     LN2,
+    ContourGrid,
+    _check_grid,
+    _grid_entropies,
     classify_regime,
-    contour_grid,
     entropy_sum,
     find_q_star,
     minimize_entropy_sum,
@@ -51,8 +51,7 @@ from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Iterator, Sequence
-
-    import numpy as np
+    from pathlib import Path
 
 TOLERANCE_DEFAULTS = {
     "eps_pos": EPS_POS,
@@ -88,6 +87,12 @@ class RunConfig(_Record):
         self.output_format = output_format
         self.output_path = output_path
         self.tolerances = dict(TOLERANCE_DEFAULTS) if tolerances is None else tolerances
+
+
+def _path(text: str) -> Path:
+    from pathlib import Path  # only when --out is given
+
+    return Path(text)
 
 
 def _fmt(x: float) -> str:
@@ -163,23 +168,28 @@ def _json_floats(xs: Sequence[float]) -> list[str]:
     return _encode_lines()(xs)[1:-1].split("\n") if xs else []
 
 
+def _grid_cells(q: float, n: int) -> list[None]:
+    """n * n slots for the contour strings: after checking q and n, before any O(n) work."""
+    _check_grid(q, n)
+    return [None] * (n * n)
+
+
 def _symmetric_rows(
-    values: np.ndarray, fmt_row: Callable[[list[float]], list[str]]
+    h: Sequence[float], fmt_row: Callable[[list[float]], list[str]], cells: list
 ) -> Iterator[list[str]]:
-    """Row by row, the strings of an exactly symmetric matrix.
+    """Row by row, the strings of the exactly symmetric matrix h_i + h_j.
 
     Only the cells on and above the diagonal go through fmt_row; each
     string is mirrored into the cell below the diagonal that equals it.
+    ``cells`` has n * n slots: row i from i * n, column i every n-th from i.
     """
-    import numpy as np
-
-    n = len(values)
-    cells = np.empty((n, n), dtype=object)
-    for i in range(n):
-        upper = fmt_row(values[i, i:].tolist())
-        cells[i, i:] = upper
-        cells[i:, i] = upper
-        yield cells[i].tolist()
+    n = len(h)
+    for i, hi in enumerate(h):
+        k = i * n
+        upper = fmt_row([hi + hj for hj in h[i:]])
+        cells[k + i : k + n] = upper
+        cells[k + i :: n] = upper
+        yield cells[k : k + n]
 
 
 def _row_blocks(template: str, sep: str, columns: Sequence[Sequence]) -> Iterator[str]:
@@ -413,47 +423,48 @@ def cmd_qstar(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def cmd_contour(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
-    grid = contour_grid(ns.q, ns.n)
+    cells = _grid_cells(ns.q, ns.n)
+    axis, h = _grid_entropies(ns.q, ns.n)
     if cfg.output_format == "json":
         inner = "\n      "
         payload = {
             "meta": _meta_dict(cfg, argv),
-            "q": grid.q,
-            "n": grid.n,
-            "constraint": grid.constraint,
-            "axis": _JsonArray(_json_floats(grid.axis.tolist())),
+            "q": ns.q,
+            "n": ns.n,
+            "constraint": ContourGrid.constraint,
+            "axis": _JsonArray(_json_floats(axis)),
             "values": _JsonArray(
                 "[" + inner + ("," + inner).join(row) + "\n    ]"
-                for row in _symmetric_rows(grid.values, _json_floats)
+                for row in _symmetric_rows(h, _json_floats, cells)
             ),
         }
         _write(cfg, _json_chunks(payload))
     else:
         head = _lines(_meta_lines(cfg, argv) + [
-            f"# q: {_fmt(grid.q)}",
-            f"# n: {grid.n}",
-            f"# constraint: {grid.constraint}",
+            f"# q: {_fmt(ns.q)}",
+            f"# n: {ns.n}",
+            f"# constraint: {ContourGrid.constraint}",
             "v,p,value",
         ])
         # row i is "v_i,p_j,value_ij" over j; the numeric axis strings hold no "%"
-        axis = _g17(grid.axis.tolist())
-        cells = [f",{p},%s\n" for p in axis]
+        axis = _g17(axis)
+        templates = [f",{p},%s\n" for p in axis]
         rows = (
-            v + v.join(cells) % tuple(row)
-            for v, row in zip(axis, _symmetric_rows(grid.values, _g17))
+            v + v.join(templates) % tuple(row)
+            for v, row in zip(axis, _symmetric_rows(h, _g17, cells))
         )
         _write(cfg, chain([head], rows))
     return 0
 
 
 # The option table. Each option maps to (convert, default, metavar, help).
-# convert is int, float, str or Path; a tuple of the allowed values; list for
+# convert is int, float, str or _path; a tuple of the allowed values; list for
 # a repeatable option whose values accumulate in argv order; or None for a
 # flag that prints and exits. A default of ... marks a required option.
 _COMMON = {  # valid before and after the command
     "--seed": (int, 0, "SEED", "RNG seed for sampled states"),
     "--format": (("csv", "json"), "csv", "{csv,json}", "output format"),
-    "--out": (Path, None, "OUT", "write output to this path instead of stdout"),
+    "--out": (_path, None, "OUT", "write output to this path instead of stdout"),
     "--tolerance": (
         list, [], "NAME=VALUE", "override a named tolerance (repeatable): " + _TOLERANCE_NAMES
     ),
@@ -608,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message; numpy's names the array it refused
         print(f"mzduality: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -338,19 +338,30 @@ class ContourGrid(_Record):
         return float(self.values[i, j])
 
 
-def contour_grid(q: float, n: int) -> ContourGrid:
-    """Tabulate H_q(P) + H_q(V) on an n x n equispaced grid over [0, 1]^2."""
+def _check_grid(q: float, n: int) -> None:
     _check_q(q)
     if q == math.inf:
         raise ValueError("contour grids require a finite Renyi index")
     if n < 32:
         raise ValueError(f"n must be at least 32, got {n}")
+
+
+def _grid_entropies(q: float, n: int) -> tuple[list[float], list[float]]:
+    """The float axis, with ``np.linspace(0, 1, n)``'s bits, and the H_q of each bias on it."""
+    step = 1.0 / (n - 1)
+    axis = [i * step for i in range(n - 1)] + [1.0]
+    return axis, [_bias_entropy(x, q) for x in axis]
+
+
+def contour_grid(q: float, n: int) -> ContourGrid:
+    """Tabulate H_q(P) + H_q(V) on an n x n equispaced grid over [0, 1]^2."""
+    _check_grid(q, n)
     import numpy as np
 
-    axis = np.linspace(0.0, 1.0, n)
-    h = _bias_entropy(axis, q)
-    values = h[:, None] + h[None, :]
-    return ContourGrid(q=q, n=n, axis=axis, values=values)
+    values = np.empty((n, n))  # before any O(n) work, so a huge n fails at once
+    axis, h = _grid_entropies(q, n)
+    np.add.outer(h, h, out=values)
+    return ContourGrid(q=q, n=n, axis=np.array(axis), values=values)
 
 
 def unbiased_saturating_states(theta: float = 0.0) -> list[BlochVector]:

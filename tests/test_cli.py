@@ -20,6 +20,7 @@ from mzduality import (
     QubitState,
     apply_beam_splitter,
     contour_grid,
+    entropy_sum,
     find_q_star,
     fringe_scan,
     random_mixed_bloch,
@@ -503,7 +504,7 @@ import contextlib, io, json, sys
 import mzduality, mzduality.cli as cli
 seen = {"import": [0, "numpy" in sys.modules]}
 scalar = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["qscan"], ["qstar"])
-for argv in [*scalar, ["verify"], ["contour"]]:
+for argv in [*scalar, ["contour"], ["verify"]]:
     for fmt in ("csv", "json"):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--format", fmt, *argv])
@@ -513,8 +514,8 @@ print(json.dumps(seen))
 
 
 def test_scalar_commands_load_no_numpy():
-    # state, mz, qscan and qstar are closed forms over floats; verify and
-    # contour, run last, are the commands that need arrays
+    # state, mz, qscan, qstar and contour are closed forms over floats;
+    # verify, run last, is the command that needs arrays
     result = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE],
         env=package_env(),
@@ -524,9 +525,9 @@ def test_scalar_commands_load_no_numpy():
     )
     seen = json.loads(result.stdout)
     want = {"import": [0, False]}
-    for command in ("state", "mz", "qscan", "qstar", "verify", "contour"):
+    for command in ("state", "mz", "qscan", "qstar", "contour", "verify"):
         for fmt in ("csv", "json"):
-            want[f"{fmt} {command}"] = [0, command in ("verify", "contour")]
+            want[f"{fmt} {command}"] = [0, command == "verify"]
     assert seen == want
 
 
@@ -571,10 +572,12 @@ BARE_PROBE = """
 import contextlib, io, sys
 import mzduality.cli as cli
 def loaded():
-    return [m for m in ("typing", "collections.abc", "inspect", "numpy") if m in sys.modules]
+    names = ("typing", "collections.abc", "inspect", "numpy", "pathlib", "re")
+    return [m for m in names if m in sys.modules]
 seen = {"import": (0, loaded())}
-commands = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["qscan"], ["qstar"])
-for fmt in ("csv", "json"):
+commands = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["qscan"], ["qstar"],
+            ["contour"])
+for fmt in ("csv", "json"):  # every CSV run comes before the first JSON run
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--format", fmt, *argv])
@@ -584,8 +587,9 @@ print(repr(seen))
 
 
 def test_scalar_commands_on_a_bare_interpreter_load_no_typing():
-    # -S skips the site hook, which may preload typing and hide an import,
-    # and leaves site-packages off sys.path, so numpy cannot load either
+    # -S skips the site hook, which may preload typing, pathlib or re and
+    # hide an import, and leaves site-packages off sys.path, so numpy cannot
+    # load either; json imports re, so only the CSV runs can show it absent
     src_root = str(Path(mzduality.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-S", "-c", BARE_PROBE],
@@ -597,8 +601,8 @@ def test_scalar_commands_on_a_bare_interpreter_load_no_typing():
     seen = ast.literal_eval(result.stdout)
     want = {"import": (0, [])}
     for fmt in ("csv", "json"):
-        for command in ("state", "mz", "qscan", "qstar"):
-            want[f"{fmt} {command}"] = (0, [])
+        for command in ("state", "mz", "qscan", "qstar", "contour"):
+            want[f"{fmt} {command}"] = (0, ["re"] if fmt == "json" else [])
     assert seen == want
 
 
@@ -643,6 +647,7 @@ GOLDEN_ARGV = {
     "qscan": ["qscan"],
     "qstar": ["qstar"],
     "contour": ["contour", "--n", "33"],
+    "contour_q15": ["contour", "--q", "1.5", "--n", "65"],
 }
 
 
@@ -657,11 +662,79 @@ def test_output_matches_golden_bytes(capsys, name, fmt):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_output_bytes_do_not_depend_on_numpy_cpu_features(name, fmt):
+    # NPY_DISABLE_CPU_FEATURES=X86_V4 makes numpy take the loops that a CPU
+    # without AVX-512 takes; on a host without X86_V4 the two runs are alike.
+    # Only stdout is compared: numpy may warn about the setting on stderr.
+    argv = [sys.executable, "-m", "mzduality.cli", "--format", fmt, *GOLDEN_ARGV[name]]
+    outs = [
+        subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        for env in (package_env(), dict(package_env(), NPY_DISABLE_CPU_FEATURES="X86_V4"))
+    ]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(("q", "n"), [("0.3", 47), ("1.5", 33), ("2000", 32)])
+def test_contour_cells_have_the_bits_of_entropy_sum(capsys, q, n):
+    code, out, _ = run(capsys, "contour", "--q", q, "--n", str(n))
+    assert code == 0
+    rows = out.split("v,p,value\n", 1)[1].splitlines()
+    assert len(rows) == n * n
+    for row in rows:
+        v, p, value = map(float, row.split(","))
+        assert value == entropy_sum(p, v, float(q))
+
+
+HUGE_CONTOUR_PROBE = """
+import contextlib, io, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import mzduality.cli as cli
+seen = []
+for n in (2**31, 2**32, 2**63 - 1, 10**30):
+    for fmt in ("csv", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--format", fmt, "contour", "--n", str(n)])
+        seen.append((code, out.getvalue(), len(err.getvalue().splitlines())))
+print(repr(seen))
+"""
+
+
+def test_huge_contour_side_is_a_one_line_error():
+    # the n * n cells are taken before any O(n) work, so each size fails at
+    # once; the 1 GiB address-space limit bounds the child should that order
+    # ever break (the next test checks the order itself)
+    result = subprocess.run(
+        [sys.executable, "-c", HUGE_CONTOUR_PROBE],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert ast.literal_eval(result.stdout) == [(1, "", 1)] * 8
+
+
+@pytest.mark.parametrize("n", [2**31, 2**32])
+def test_contour_takes_its_cells_before_the_entropies(capsys, monkeypatch, n):
+    # 2**31 squared passes the size check of a list and fails its allocation
+    # at once (MemoryError), 2**32 squared fails the check (OverflowError)
+    def never(*args):
+        raise AssertionError("entropies computed before the cells were taken")
+
+    monkeypatch.setattr(cli, "_grid_entropies", never)
+    code, out, err = run(capsys, "contour", "--n", str(n))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("mzduality: error: ")
+
+
 @pytest.mark.parametrize(
     ("target", "argv"),
     [
-        ("contour_grid", ["contour", "--n", "3000000"]),
-        ("contour_grid", ["--format", "json", "contour", "--n", "3000000"]),
+        ("_grid_cells", ["contour", "--n", "3000000"]),
+        ("_grid_cells", ["--format", "json", "contour", "--n", "3000000"]),
         ("random_pure_bloch", ["verify", "--n", "100000000000"]),
     ],
 )
@@ -807,11 +880,11 @@ def test_json_row_emitter_matches_json_dumps():
 
 
 def test_symmetric_rows_match_per_cell_formatting():
-    h = np.array(EDGE_FLOATS)
-    values = h[:, None] + h[None, :]
+    h = list(EDGE_FLOATS)
+    values = np.add.outer(h, h)
     assert np.array_equal(values, values.T)
     for fmt_row, fmt_cell in ((_g17, lambda x: format(x, ".17g")), (_json_floats, json.dumps)):
-        rows = list(_symmetric_rows(values, fmt_row))
+        rows = list(_symmetric_rows(h, fmt_row, [None] * len(h) ** 2))
         assert rows == [[fmt_cell(x) for x in row] for row in values.tolist()]
 
 

@@ -372,6 +372,18 @@ class TestContourGrid:
         with pytest.raises(ValueError):
             grid.nearest_value(1.2, 0.0)
 
+    @pytest.mark.parametrize("n", [32, 33, 47, 65, 100, 129, 513, 1025, 4097])
+    def test_axis_has_the_bits_of_linspace(self, n):
+        axis = contour_grid(1.0, n).axis
+        assert axis.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
+
+    @pytest.mark.parametrize(("q", "n"), [(0.3, 47), (1.0, 32), (1.5, 65), (2000.0, 33)])
+    def test_cells_have_the_bits_of_entropy_sum(self, q, n):
+        grid = contour_grid(q, n)
+        axis = grid.axis.tolist()
+        want = [[entropy_sum(p, v, q) for p in axis] for v in axis]
+        assert grid.values.tobytes() == np.array(want).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             contour_grid(1.0, 31)
