@@ -37,12 +37,12 @@ from .entropic import (
     ContourGrid,
     _check_grid,
     _grid_entropies,
+    _mixed_blocks,
+    _pure_blocks,
     classify_regime,
     entropy_sum,
     find_q_star,
     minimize_entropy_sum,
-    random_mixed_bloch,
-    random_pure_bloch,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
 from .qubit import EPS_POS, QubitState, _checked_rows, _Record
@@ -62,6 +62,9 @@ _TOLERANCE_NAMES = ", ".join(sorted(TOLERANCE_DEFAULTS))
 
 MAX_SEED = 2**64 - 1
 _MZ_BLOCK = 1024  # mz rows formatted by one "%", CSV or JSON
+# verify's pure rows per block; its ball draws take twice as many rows. A
+# block's rows and audit arrays come to about 2 MB, which fit a 2 MiB L2 cache
+_VERIFY_BLOCK = 8192
 
 
 class RunConfig(_Record):
@@ -169,9 +172,16 @@ def _json_floats(xs: Sequence[float]) -> list[str]:
 
 
 def _grid_cells(q: float, n: int) -> list[None]:
-    """n * n slots for the contour strings: after checking q and n, before any O(n) work."""
+    """n * n slots for the contour strings: after checking q and n, before any O(n) work.
+
+    A count past a list's index range (OverflowError) or past memory
+    (MemoryError) becomes one MemoryError that names --n and the count.
+    """
     _check_grid(q, n)
-    return [None] * (n * n)
+    try:
+        return [None] * (n * n)
+    except (OverflowError, MemoryError):
+        raise MemoryError(f"--n {n}: no memory for the {n} x {n} = {n * n} cells") from None
 
 
 def _symmetric_rows(
@@ -327,21 +337,31 @@ def cmd_verify(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
         raise ValueError(f"--n must be at least 1, got {ns.n}")
     import numpy as np
 
+    eps_pos, eps_gap = cfg.tolerances["eps_pos"], cfg.tolerances["eps_gap"]
     n_pure = ns.n // 2
-    rows = [random_pure_bloch(n_pure, cfg.seed), random_mixed_bloch(ns.n - n_pure, cfg.seed + 1)]
-    s = _checked_rows(np.vstack(rows), cfg.tolerances["eps_pos"])
-    audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), cfg.tolerances["eps_gap"])
-    bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
-    violations = [
-        (
-            i,
-            f"duality_gap={_fmt(audit.duality.gap[i])}"
-            f" sr_gap={_fmt(audit.sr.gap[i])} lp_gap={_fmt(audit.lp.gap[i])}",
-        )
-        for i in bad
-    ]
-    agreed = ns.n - len(bad)
-    ok = not bad
+    blocks = chain(
+        _pure_blocks(n_pure, cfg.seed, _VERIFY_BLOCK),
+        _mixed_blocks(ns.n - n_pure, cfg.seed + 1, 2 * _VERIFY_BLOCK),
+    )
+    # each block is checked and audited on its own, and only its violations
+    # are kept: the working set stays one block of arrays at any --n
+    violations = []
+    start = 0
+    for rows in blocks:
+        s = _checked_rows(rows, eps_pos)
+        audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), eps_gap)
+        bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
+        violations += [
+            (
+                start + i,
+                f"duality_gap={_fmt(audit.duality.gap[i])}"
+                f" sr_gap={_fmt(audit.sr.gap[i])} lp_gap={_fmt(audit.lp.gap[i])}",
+            )
+            for i in bad
+        ]
+        start += len(s)
+    agreed = ns.n - len(violations)
+    ok = not violations
     if cfg.output_format == "json":
         payload = {
             "meta": _meta_dict(cfg, argv),

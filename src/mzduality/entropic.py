@@ -302,7 +302,7 @@ def brute_force_min(
     with ThreadPoolExecutor(1) as pool:
         arc = pool.submit(_arc_min, q, n_states)
         best = math.inf
-        for s in _mixed_blocks(n_states, seed):
+        for s in _mixed_blocks(n_states, seed, _BLOCK):
             vals = _bias_entropy(np.abs(s[:, 2]), q)
             vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
             best = min(best, float(vals.min()))
@@ -450,41 +450,70 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
-def random_pure_bloch(n: int, seed: int) -> np.ndarray:
-    """n uniform points on the unit sphere: Gaussian draws, normalized."""
-    _check_n(n)
+def _pure_blocks(n: int, seed: int, rows: int):
+    """Yield the rows of ``random_pure_bloch(n, seed)`` in order, ``rows`` at a time.
+
+    Each block is one ``rng.normal(size=(b, 3))`` draw, normalized. The
+    ziggurat draws continue the generator's stream across calls, so the
+    blocks hold the bits of one n-row draw. The known exception is the
+    near-zero-norm redraw, about 1e-36 per row: it takes its draws right
+    after its own block, not after all n rows.
+    """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n, 3))
-    norms = np.sqrt(_row_norms_sq(v))
-    while np.any(norms < 1e-12):  # essentially impossible, but stay total
-        bad = norms < 1e-12
-        v[bad] = rng.normal(size=(int(bad.sum()), 3))
+    for start in range(0, n, rows):
+        v = rng.normal(size=(min(rows, n - start), 3))
         norms = np.sqrt(_row_norms_sq(v))
-    v /= norms[:, None]
-    return v
+        while np.any(norms < 1e-12):  # essentially impossible, but stay total
+            bad = norms < 1e-12
+            v[bad] = rng.normal(size=(int(bad.sum()), 3))
+            norms = np.sqrt(_row_norms_sq(v))
+        v /= norms[:, None]
+        yield v
 
 
-def _mixed_blocks(n: int, seed: int):
+def _mixed_blocks(n: int, seed: int, cap: int):
     """Yield the rows of ``random_mixed_bloch(n, seed)`` in order, in blocks.
 
     The samples are the first n rows of the seeded stream of cube points
     that fall in the ball. A uniform draw takes one double per element, so
-    the draw sizes, ``min(2 * max(n - have, 64), _BLOCK)`` rows, change
-    only how far past the n-th kept row the generator runs.
+    the draw sizes, ``min(2 * max(n - have, 64), cap)`` rows, change only
+    how far past the n-th kept row the generator runs.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     have = 0
     while have < n:
-        block = rng.random(size=(min(max(n - have, 64) * 2, _BLOCK), 3))
+        block = rng.random(size=(min(max(n - have, 64) * 2, cap), 3))
         block *= 2.0  # exact, so this is uniform(-1, 1)'s -1 + 2u
         block -= 1.0
         block = block.compress(_row_norms_sq(block) <= 1.0, axis=0)[: n - have]
         have += len(block)
         yield block
+
+
+def _gathered(n: int, blocks) -> np.ndarray:
+    """The (n, 3) array of the rows that ``blocks`` yields, n in all."""
+    import numpy as np
+
+    out = np.empty((n, 3))
+    have = 0
+    for piece in blocks:
+        out[have : have + len(piece)] = piece
+        have += len(piece)
+    return out
+
+
+def random_pure_bloch(n: int, seed: int) -> np.ndarray:
+    """n uniform points on the unit sphere: Gaussian draws, normalized.
+
+    Rows come from ``_pure_blocks`` in blocks of ``_BLOCK``, so beyond the
+    (n, 3) result only one block of draws is held at a time.
+    """
+    _check_n(n)
+    return _gathered(n, _pure_blocks(n, seed, _BLOCK))
 
 
 def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
@@ -494,11 +523,4 @@ def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
     block of draws is held at a time.
     """
     _check_n(n)
-    import numpy as np
-
-    out = np.empty((n, 3))
-    have = 0
-    for piece in _mixed_blocks(n, seed):
-        out[have : have + len(piece)] = piece
-        have += len(piece)
-    return out
+    return _gathered(n, _mixed_blocks(n, seed, _BLOCK))

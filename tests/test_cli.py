@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,9 @@ from mzduality import (
     random_pure_bloch,
     visibility,
 )
-from mzduality import cli
+from mzduality import cli, qubit
 from mzduality.cli import (
+    _VERIFY_BLOCK,
     RunConfig,
     _g17,
     _json_chunks,
@@ -367,6 +369,104 @@ def test_verify_rejects_zero_states(capsys):
     assert code == 1
 
 
+def reference_verify(ns, cfg, argv):
+    """The whole-array `verify`: every state sampled, checked and audited at once.
+
+    Its samplers are held to one whole draw by test_entropic's
+    TestArrayPathsKeepBits::test_samplers.
+    """
+    if ns.n < 1:
+        raise ValueError(f"--n must be at least 1, got {ns.n}")
+    n_pure = ns.n // 2
+    rows = [random_pure_bloch(n_pure, cfg.seed), random_mixed_bloch(ns.n - n_pure, cfg.seed + 1)]
+    s = _checked_rows(np.vstack(rows), cfg.tolerances["eps_pos"])
+    audit = cli.pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), cfg.tolerances["eps_gap"])
+    bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
+    violations = [
+        (
+            i,
+            f"duality_gap={cli._fmt(audit.duality.gap[i])}"
+            f" sr_gap={cli._fmt(audit.sr.gap[i])} lp_gap={cli._fmt(audit.lp.gap[i])}",
+        )
+        for i in bad
+    ]
+    agreed = ns.n - len(bad)
+    ok = not bad
+    if cfg.output_format == "json":
+        payload = {
+            "meta": _meta_dict(cfg, argv),
+            "checked": ns.n,
+            "agreed": agreed,
+            "violations": [{"index": i, "detail": d} for i, d in violations],
+            "all_hold": ok,
+        }
+        cli._write(cfg, _json_chunks(payload))
+    else:
+        lines = _meta_lines(cfg, argv) + [
+            "quantity,value",
+            f"checked,{ns.n}",
+            f"agreed,{agreed}",
+            f"all_hold,{cli._fmt_bool(ok)}",
+        ]
+        lines += [f"# violation index={i} {d}" for i, d in violations]
+        cli._write(cfg, [cli._lines(lines)])
+    return 0 if ok else 2
+
+
+def run_naming_bad_rows(capsys, monkeypatch, argv):
+    """run(), plus the components of each BlochVector that the norm rule refused."""
+    refused = []
+    real = qubit.BlochVector
+
+    def spy(*components, **kwargs):
+        try:
+            return real(*components, **kwargs)
+        except ValueError:
+            refused.append(components)
+            raise
+
+    with monkeypatch.context() as patched:
+        patched.setattr(qubit, "BlochVector", spy)
+        return (*run(capsys, *argv), refused)
+
+
+# around the edges of verify's blocks; at 20 000 both halves take two blocks
+VERIFY_SIZES = [1, 2, _VERIFY_BLOCK - 1, _VERIFY_BLOCK, _VERIFY_BLOCK + 1, 2 * _VERIFY_BLOCK - 1,
+                2 * _VERIFY_BLOCK, 2 * _VERIFY_BLOCK + 1, 20_000]
+
+
+@pytest.mark.parametrize("tolerance", [None, "eps_gap=1e-18", "eps_pos=1e-300"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", VERIFY_SIZES)
+def test_blocked_verify_keeps_the_whole_array_bytes(capsys, monkeypatch, n, fmt, tolerance):
+    # eps_gap=1e-18 forces violations across blocks; eps_pos=1e-300 refuses
+    # the first pure row that rounds to norm 1 + 2^-52, which must be the
+    # same row in both
+    argv = ["--format", fmt, "--seed", "11", "verify", "--n", str(n)]
+    argv += ["--tolerance", tolerance] if tolerance else []
+    got = run_naming_bad_rows(capsys, monkeypatch, argv)
+    spec = cli._COMMANDS["verify"]
+    monkeypatch.setitem(cli._COMMANDS, "verify", (reference_verify, *spec[1:]))
+    want = run_naming_bad_rows(capsys, monkeypatch, argv)
+    assert got == want
+    if n == 20_000:  # a size where each tolerance shows
+        assert got[0] == {None: 0, "eps_gap=1e-18": 2, "eps_pos=1e-300": 1}[tolerance]
+        assert len(got[3]) == (tolerance == "eps_pos=1e-300")
+
+
+def test_verify_memory_is_constant_in_n(capsys):
+    # one block of rows and audit arrays, about 2 MB, whatever --n; the
+    # whole-array audit peaked at 189 MB
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--n", str(10**6)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, csv_values(capsys.readouterr().out)["agreed"]) == (0, str(10**6))
+    assert peak < 8e6
+
+
 def test_qstar_command(capsys):
     code, out, _ = run(capsys, "qstar", "--tol", "1e-10")
     assert code == 0
@@ -697,9 +797,13 @@ for n in (2**31, 2**32, 2**63 - 1, 10**30):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["--format", fmt, "contour", "--n", str(n)])
-        seen.append((code, out.getvalue(), len(err.getvalue().splitlines())))
+        seen.append((n, code, out.getvalue(), err.getvalue()))
 print(repr(seen))
 """
+
+
+def huge_contour_error(n: int) -> str:
+    return f"mzduality: error: --n {n}: no memory for the {n} x {n} = {n * n} cells\n"
 
 
 def test_huge_contour_side_is_a_one_line_error():
@@ -714,7 +818,9 @@ def test_huge_contour_side_is_a_one_line_error():
         check=True,
         timeout=120,
     )
-    assert ast.literal_eval(result.stdout) == [(1, "", 1)] * 8
+    sizes = (2**31, 2**32, 2**63 - 1, 10**30)
+    want = [(n, 1, "", huge_contour_error(n)) for n in sizes for _ in ("csv", "json")]
+    assert ast.literal_eval(result.stdout) == want
 
 
 @pytest.mark.parametrize("n", [2**31, 2**32])
@@ -727,7 +833,7 @@ def test_contour_takes_its_cells_before_the_entropies(capsys, monkeypatch, n):
     monkeypatch.setattr(cli, "_grid_entropies", never)
     code, out, err = run(capsys, "contour", "--n", str(n))
     assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("mzduality: error: ")
+    assert err == huge_contour_error(n)
 
 
 @pytest.mark.parametrize(
@@ -735,7 +841,7 @@ def test_contour_takes_its_cells_before_the_entropies(capsys, monkeypatch, n):
     [
         ("_grid_cells", ["contour", "--n", "3000000"]),
         ("_grid_cells", ["--format", "json", "contour", "--n", "3000000"]),
-        ("random_pure_bloch", ["verify", "--n", "100000000000"]),
+        ("_pure_blocks", ["verify", "--n", "100000000000"]),
     ],
 )
 @pytest.mark.parametrize(
@@ -747,11 +853,17 @@ def test_contour_takes_its_cells_before_the_entropies(capsys, monkeypatch, n):
     ids=["with-message", "bare"],
 )
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, target, argv, exc, message):
-    # the kernel is replaced, so nothing huge is ever allocated
+    # the kernel is replaced, so nothing huge is ever allocated; should a
+    # command stop calling it, the row check fails the test at once instead
+    # of letting verify stream its 10^11 states
     def refuse(*args):
         raise exc
 
+    def unpatched(*args):
+        raise AssertionError(f"the command ran without calling {target}")
+
     monkeypatch.setattr(cli, target, refuse)
+    monkeypatch.setattr(cli, "_checked_rows", unpatched)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -40,7 +40,8 @@ from mzduality import (
     visibility_op,
 )
 from mzduality import entropic
-from mzduality.entropic import _ARC_BLOCK, _arc_blocks, _bias_entropy
+from mzduality.cli import _VERIFY_BLOCK
+from mzduality.entropic import _ARC_BLOCK, _arc_blocks, _bias_entropy, _mixed_blocks, _pure_blocks
 
 INV_SQRT2 = 2.0**-0.5
 TWO_LN2 = 2.0 * LN2
@@ -490,10 +491,10 @@ class TestSampling:
 
 
 class TestMemoryBound:
-    """The oracle and the ball sampler hold one block of states at a time.
+    """The oracle and the samplers hold one block of states at a time.
 
     numpy reports its buffers to tracemalloc, so the peaks are exact. The
-    whole-array code peaked at 99.5 MB and 83.5 MB. The oracle imports
+    whole-array oracle and ball sampler peaked at 99.5 MB and 83.5 MB. The oracle imports
     concurrent.futures on its first call; this module imports it first,
     so the peaks count working memory, not module import.
     """
@@ -512,6 +513,10 @@ class TestMemoryBound:
         # thread (tracemalloc sees every thread); no arc grid is held.
         # Up to 3.14 MB on the first call in a process, 2.26 MB on later calls
         assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
+
+    def test_random_pure_bloch(self):
+        # the 24 MB result plus one block of draws; 56 MB as one draw
+        assert self.traced_peak(random_pure_bloch, 10**6, 3) < 32e6
 
     def test_random_mixed_bloch(self):
         # the 24 MB result plus one block of draws
@@ -619,14 +624,25 @@ REGIONS = {
 
 
 class TestArrayPathsKeepBits:
-    # around 2**14 the ball sampler's first draw reaches its 2**15-row cap
+    # around 2**14 the ball sampler's first draw reaches its 2**15-row cap;
+    # around 2**15 the sphere sampler starts its second block; around 2**12
+    # and 2**13, verify's blocks (_VERIFY_BLOCK rows, ball draws of twice that)
     @pytest.mark.parametrize(
-        "n", [0, 1, 63, 64, 65, 100_000, 16_383, 16_384, 16_385, 32_768, 10**6]
+        "n",
+        [0, 1, 63, 64, 65, 4_095, 4_096, 4_097, 8_191, 8_192, 8_193, 100_000, 16_383, 16_384,
+         16_385, 32_767, 32_768, 32_769, 65_537, 10**6],
     )
     def test_samplers(self, n):
         for seed in range(5):
-            assert same_bits(random_pure_bloch(n, seed), reference_pure_bloch(n, seed))
-            assert same_bits(random_mixed_bloch(n, seed), reference_mixed_bloch(n, seed))
+            want_pure, want_mixed = reference_pure_bloch(n, seed), reference_mixed_bloch(n, seed)
+            assert same_bits(random_pure_bloch(n, seed), want_pure)
+            assert same_bits(random_mixed_bloch(n, seed), want_mixed)
+            pure = list(_pure_blocks(n, seed, _VERIFY_BLOCK))
+            mixed = list(_mixed_blocks(n, seed, 2 * _VERIFY_BLOCK))
+            assert all(len(b) == _VERIFY_BLOCK for b in pure[:-1])
+            assert all(len(b) <= 2 * _VERIFY_BLOCK for b in mixed)
+            assert same_bits(np.concatenate([np.empty((0, 3)), *pure]), want_pure)
+            assert same_bits(np.concatenate([np.empty((0, 3)), *mixed]), want_mixed)
 
     @pytest.mark.parametrize(
         "q", [0.05, 0.3, 0.5, 0.85, 1.0, 1.0 + 5e-8, 1.1, 1.2, Q_STAR, 1.5, 2.0, 3.0, 7.5, math.inf]
