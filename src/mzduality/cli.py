@@ -13,21 +13,20 @@ output on the same Python, numpy and C library, on CPUs that take the
 same libm variant (glibc picks its ``log``, ``pow`` or ``cos`` by CPU
 features). The JSON text is exactly ``json.dumps(payload, indent=2)`` plus
 a newline. Large tables are formatted and written a row or a block of rows
-at a time, after all computation and validation are done. Angles are
-radians; floats are printed with 17 significant digits. Exit codes: 0
-success, 1 usage or validation error, or stdout closed by its reader
-(nothing more is written and stderr stays empty), 2 property violation
-detected by verify.
+at a time. Every command validates its options before it writes; qscan then
+computes its rows as they are written, the others compute everything first.
+Angles are radians; floats are printed with 17 significant digits. Exit
+codes: 0 success, 1 usage or validation error, or stdout closed by its
+reader (nothing more is written and stderr stays empty), 2 property
+violation detected by verify.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from . import __version__
@@ -61,7 +60,7 @@ TOLERANCE_DEFAULTS = {
 _TOLERANCE_NAMES = ", ".join(sorted(TOLERANCE_DEFAULTS))
 
 MAX_SEED = 2**64 - 1
-_MZ_BLOCK = 1024  # mz rows formatted by one "%", CSV or JSON
+_ROW_BLOCK = 1024  # table rows per written chunk; mz formats them with one "%"
 # verify's pure rows per block; its ball draws take twice as many rows. A
 # block's rows and audit arrays come to about 2 MB, which fit a 2 MiB L2 cache
 _VERIFY_BLOCK = 8192
@@ -143,14 +142,21 @@ def _lines(lines: Iterable[str]) -> str:
 
 def _write(cfg: RunConfig, chunks: Iterable[str]) -> None:
     """Write the output chunks in order to --out, or to stdout without it."""
-    target = (
-        open(cfg.output_path, "w", encoding="utf-8", newline="\n")
-        if cfg.output_path is not None
-        else contextlib.nullcontext(sys.stdout)
-    )
-    with target as out:
+    path = cfg.output_path
+    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="\n")
+    try:
         for chunk in chunks:
             out.write(chunk)
+    finally:
+        if path is not None:
+            out.close()
+
+
+def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """sep.join of each run of _ROW_BLOCK items in turn: one chunk per block, not per row."""
+    items = iter(items)
+    while block := list(islice(items, _ROW_BLOCK)):
+        yield sep.join(block)
 
 
 def _g17(xs: Sequence[float]) -> list[str]:
@@ -203,13 +209,13 @@ def _symmetric_rows(
 
 
 def _row_blocks(template: str, sep: str, columns: Sequence[Sequence]) -> Iterator[str]:
-    """sep.join(template % row for row in zip(*columns)), in blocks of _MZ_BLOCK rows.
+    """sep.join(template % row for row in zip(*columns)), in blocks of _ROW_BLOCK rows.
 
     One "%" and one chunk per block, not per row.
     """
     width = len(columns)
     flat = tuple(chain.from_iterable(zip(*columns)))
-    step = width * _MZ_BLOCK
+    step = width * _ROW_BLOCK
     for i in range(0, len(flat), step):
         block = flat[i : i + step]
         yield sep.join([template] * (len(block) // width)) % block
@@ -391,37 +397,36 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
         )
     if ns.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {ns.steps}")
-    if ns.steps == 1:
-        qs = [ns.qmin]
-    else:
-        step = (ns.qmax - ns.qmin) / (ns.steps - 1)
-        qs = [ns.qmin + i * step for i in range(ns.steps)]
-        qs[-1] = ns.qmax
+    # the rows are computed as they are written, so only a block is held
+    n = ns.steps - 1
+    step = (ns.qmax - ns.qmin) / max(n, 1)
+    qs = chain((ns.qmin + i * step for i in range(n)), [ns.qmax if n else ns.qmin])
     band = cfg.tolerances["band_eps"]
-    rows = []
-    for q in qs:
-        res = minimize_entropy_sum(q)
-        rows.append((q, classify_regime(q, band), res))
+    rows = ((q, classify_regime(q, band), minimize_entropy_sum(q)) for q in qs)
     if cfg.output_format == "json":
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "rows": [
-                {
-                    "q": q,
-                    "regime": regime,
-                    "min_value": res.min_value,
-                    "minimizers": [[v, p] for v, p in res.minimizers],
-                }
-                for q, regime, res in rows
-            ],
-        }
-        _write(cfg, _json_chunks(payload))
+        import json
+
+        encode = json.JSONEncoder(indent=2).encode
+        items = (
+            encode({
+                "q": q,
+                "regime": regime,
+                "min_value": res.min_value,
+                "minimizers": [[v, p] for v, p in res.minimizers],
+            }).replace("\n", "\n    ")
+            for q, regime, res in rows
+        )
+        rows_json = _JsonArray(_joined(items, _JSON_ITEM_SEP))
+        _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), "rows": rows_json}))
     else:
-        lines = _meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"]
-        for q, regime, res in rows:
-            mins = ";".join(f"{_fmt(v)}:{_fmt(p)}" for v, p in res.minimizers)
-            lines.append(f"{_fmt(q)},{regime},{_fmt(res.min_value)},{mins}")
-        _write(cfg, [_lines(lines)])
+        head = _lines(_meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"])
+        lines = (
+            f"{_fmt(q)},{regime},{_fmt(res.min_value)},"
+            + ";".join(f"{_fmt(v)}:{_fmt(p)}" for v, p in res.minimizers)
+            + "\n"
+            for q, regime, res in rows
+        )
+        _write(cfg, chain([head], _joined(lines, "")))
     return 0
 
 
@@ -637,6 +642,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone: per the signal module docs' SIGPIPE note, point
         # stdout at devnull so that the flush at exit cannot fail again
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OverflowError, OSError, MemoryError) as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 
 from .qubit import (
     BlochObservable,
@@ -50,6 +51,9 @@ MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
 _HALF_PI = math.pi / 2.0
 _BLOCK = 1 << 15  # rows per block of the ball sampler and sweep: 768 kB of (x, y, z)
 _ARC_BLOCK = 1 << 13  # angles per block of the arc sweep; small blocks keep a thread's arena small
+# candidate rows per block of the region minimizer: a block's rows, their
+# Python floats and its arrays trace about 1 MB, below the 2.3 MB oracle
+_REGION_BLOCK = 1 << 11
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -238,32 +242,33 @@ def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:
     return "I" if q < q_star else "III"
 
 
-def _arc_blocks(n: int):
-    """Yield ``np.linspace(0, pi/2, n)``, n >= 2, bit for bit, in blocks of ``_ARC_BLOCK`` angles.
+def _linspace_blocks(stop: float, n: int, endpoint: bool, rows: int):
+    """Yield ``np.linspace(0, stop, n, endpoint=endpoint)`` bit for bit, ``rows`` values at a time.
 
     Each block takes linspace's own steps: the float positions, times
-    ``step = float64(pi/2) / (n - 1)``, plus 0.0, with the last angle set
-    to pi/2 exactly.
+    ``step = float64(stop) / (n - 1)`` (``/ n`` without the endpoint), plus
+    0.0; with the endpoint, the last value is set to stop exactly. Needs
+    n >= 2 with the endpoint, n >= 1 without.
     """
     import numpy as np
 
-    step = np.float64(_HALF_PI) / (n - 1)
-    for start in range(0, n, _ARC_BLOCK):
-        stop = min(start + _ARC_BLOCK, n)
-        a = np.arange(start, stop, dtype=float)
+    step = np.float64(stop) / (n - 1 if endpoint else n)
+    for start in range(0, n, rows):
+        end = min(start + rows, n)
+        a = np.arange(start, end, dtype=float)
         a *= step
         a += 0.0
-        if stop == n:
-            a[-1] = _HALF_PI
+        if endpoint and end == n:
+            a[-1] = stop
         yield a
 
 
 def _arc_min(q: float, n: int) -> float:
-    """Minimum of H_q(cos a) + H_q(sin a) over the n angles of ``_arc_blocks(n)``."""
+    """Minimum of H_q(cos a) + H_q(sin a) over the n angles of ``np.linspace(0, pi/2, n)``."""
     import numpy as np
 
     best = math.inf
-    for a in _arc_blocks(n):
+    for a in _linspace_blocks(_HALF_PI, n, True, _ARC_BLOCK):
         vals = _bias_entropy(np.cos(a), q)
         vals += _bias_entropy(np.sin(a), q)
         best = min(best, float(vals.min()))
@@ -404,6 +409,11 @@ def constrained_min_over_region(
     states exactly), a seeded uniform sample of the sphere, and a seeded
     uniform sample of the ball, roughly n_samples in total. Raises if the
     predicate rejects every candidate.
+
+    The candidates are made and ranked in blocks of ``_REGION_BLOCK`` rows
+    (ball blocks: the rows kept from ``2 * _REGION_BLOCK`` draws), so memory
+    is O(_REGION_BLOCK) at any n_samples, apart from the few rows that tie
+    within 1e-12 of the minimum.
     """
     _check_q_minimization(q)
     if n_samples < 12:
@@ -415,34 +425,49 @@ def constrained_min_over_region(
     sphere_n = base
     ball_n = max(n_samples - sweep_n - sphere_n, 1)
 
-    psi = np.linspace(0.0, 2.0 * math.pi, sweep_n, endpoint=False)
-    sweep = np.column_stack([np.sin(psi), np.zeros(sweep_n), np.cos(psi)])
-    candidates = np.vstack(
-        [sweep, random_pure_bloch(sphere_n, seed), random_mixed_bloch(ball_n, seed + 1)]
+    sweep = (
+        np.column_stack([np.sin(psi), np.zeros(len(psi)), np.cos(psi)])
+        for psi in _linspace_blocks(2.0 * math.pi, sweep_n, False, _REGION_BLOCK)
     )
-
-    rows = candidates.tolist()
-    accepted = np.array([bool(region(BlochVector(x, y, z))) for x, y, z in rows])
-    index = np.flatnonzero(accepted)
-    if not index.size:
-        raise ValueError("region predicate rejected every sampled state")
+    blocks = chain(
+        sweep,
+        _pure_blocks(sphere_n, seed, _REGION_BLOCK),
+        _mixed_blocks(ball_n, seed + 1, 2 * _REGION_BLOCK),
+    )
 
     # The checked rows hold the bits of the BlochVectors the predicate saw.
     # Arrays rank the accepted ones; numpy may differ from math in the last
-    # bits, so the float values decide among the states the arrays put
-    # within 1e-12 of their minimum, first strict minimum kept.
-    s = _checked_rows(candidates)[accepted]
-    vals = _bias_entropy(np.abs(s[:, 2]), q)
-    vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
+    # bits, so the rows within 1e-12 of the running array minimum are kept,
+    # with their raw rows, and at the end the float values decide among
+    # those within 1e-12 of the final minimum, first strict minimum kept.
+    n_accepted = 0
+    low = math.inf
+    near = []  # (array value, raw row, checked row), in candidate order
+    for block in blocks:
+        rows = block.tolist()
+        index = np.flatnonzero([bool(region(BlochVector(x, y, z))) for x, y, z in rows])
+        if not index.size:
+            continue
+        n_accepted += index.size
+        s = _checked_rows(block[index])
+        vals = _bias_entropy(np.abs(s[:, 2]), q)
+        vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
+        low = min(low, float(vals.min()))
+        near = [kept for kept in near if kept[0] <= low + 1e-12]
+        near += [
+            (float(vals[i]), rows[index[i]], s[i].tolist())
+            for i in np.flatnonzero(vals <= low + 1e-12).tolist()
+        ]
+    if not n_accepted:
+        raise ValueError("region predicate rejected every sampled state")
+
     best_val = math.inf
-    for i in np.flatnonzero(vals <= vals.min() + 1e-12).tolist():
-        x, y, z = s[i].tolist()
+    for _, row, (x, y, z) in near:
         val = _bias_entropy(abs(z), q) + _bias_entropy(math.hypot(x, y), q)
         if val < best_val:
             best_val = val
-            best = i
-    argmin = BlochVector(*rows[index[best]])
-    return RegionMinimum(min_value=best_val, argmin=argmin, n_accepted=int(index.size))
+            best = row
+    return RegionMinimum(min_value=best_val, argmin=BlochVector(*best), n_accepted=n_accepted)
 
 
 def _check_n(n: int) -> None:

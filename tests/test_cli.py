@@ -20,16 +20,19 @@ from mzduality import (
     BlochVector,
     QubitState,
     apply_beam_splitter,
+    classify_regime,
     contour_grid,
     entropy_sum,
     find_q_star,
     fringe_scan,
+    minimize_entropy_sum,
     random_mixed_bloch,
     random_pure_bloch,
     visibility,
 )
 from mzduality import cli, qubit
 from mzduality.cli import (
+    _ROW_BLOCK,
     _VERIFY_BLOCK,
     RunConfig,
     _g17,
@@ -515,6 +518,77 @@ def test_qscan_validation(capsys):
     assert code == 1
 
 
+def reference_qscan(ns, cfg, argv):
+    """The whole-table qscan: every row computed, then the text written at once."""
+    if ns.steps == 1:
+        qs = [ns.qmin]
+    else:
+        step = (ns.qmax - ns.qmin) / (ns.steps - 1)
+        qs = [ns.qmin + i * step for i in range(ns.steps)]
+        qs[-1] = ns.qmax
+    rows = [(q, classify_regime(q, cfg.tolerances["band_eps"]), minimize_entropy_sum(q)) for q in qs]
+    if cfg.output_format == "json":
+        payload = {
+            "meta": _meta_dict(cfg, argv),
+            "rows": [
+                {
+                    "q": q,
+                    "regime": regime,
+                    "min_value": res.min_value,
+                    "minimizers": [[v, p] for v, p in res.minimizers],
+                }
+                for q, regime, res in rows
+            ],
+        }
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        lines = _meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"]
+        for q, regime, res in rows:
+            mins = ";".join(f"{cli._fmt(v)}:{cli._fmt(p)}" for v, p in res.minimizers)
+            lines.append(f"{cli._fmt(q)},{regime},{cli._fmt(res.min_value)},{mins}")
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
+# one row, and row counts around the written blocks of _ROW_BLOCK rows
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--qmin", "2", "--qmax", "2", "--steps", "1"],
+        ["--qmin", "0.3", "--qmax", "1.9", "--steps", "2"],
+        ["--steps", str(_ROW_BLOCK - 1)],
+        ["--steps", str(_ROW_BLOCK)],
+        ["--qmin", "1.4", "--qmax", "1.5", "--steps", str(_ROW_BLOCK + 1)],
+        ["--tolerance", "band_eps=0.01", "--steps", str(2 * _ROW_BLOCK + 1)],
+    ],
+    ids=["one", "two", "block-1", "block", "block+1", "2block+1"],
+)
+def test_streamed_qscan_keeps_the_whole_table_bytes(capsys, monkeypatch, args, fmt):
+    argv = ["--format", fmt, "qscan", *args]
+    got = run(capsys, *argv)
+    monkeypatch.setitem(cli._COMMANDS, "qscan", (reference_qscan, *cli._COMMANDS["qscan"][1:]))
+    want = run(capsys, *argv)
+    assert got == want
+    assert got[1].count("regime") == (1 if fmt == "csv" else int(argv[-1]))
+
+
+@pytest.mark.parametrize(("fmt", "bound"), [("csv", 1.5e6), ("json", 3e6)])
+def test_qscan_memory_is_constant_in_steps(tmp_path, fmt, bound):
+    # one block of rows and their text: about 0.6 MB (CSV) and 1.5 MB
+    # (JSON); the whole table peaked at 7.4 MB and 23.3 MB
+    out = tmp_path / f"qscan.{fmt}"
+    tracemalloc.start()
+    try:
+        code = main(["--format", fmt, "--out", str(out), "qscan", "--steps", str(10**4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.read_text().count("regime") == (1 if fmt == "csv" else 10**4)
+    assert peak < bound
+
+
 def test_contour_csv(capsys):
     code, out, _ = run(capsys, "contour", "--q", "1", "--n", "32")
     assert code == 0
@@ -669,27 +743,31 @@ def test_commands_load_no_dataclasses_and_csv_loads_no_json():
 
 
 BARE_PROBE = """
-import contextlib, io, sys
+import io, sys
 import mzduality.cli as cli
 def loaded():
-    names = ("typing", "collections.abc", "inspect", "numpy", "pathlib", "re")
+    names = ("typing", "collections.abc", "inspect", "numpy", "pathlib", "re", "contextlib", "os")
     return [m for m in names if m in sys.modules]
 seen = {"import": (0, loaded())}
 commands = (["state", "--bloch", "0.6,0,0.8"], ["mz", "--bloch", "0.6,0,0.8"], ["qscan"], ["qstar"],
             ["contour"])
 for fmt in ("csv", "json"):  # every CSV run comes before the first JSON run
     for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
+        sys.stdout = io.StringIO()  # contextlib.redirect_stdout would load contextlib
+        try:
             code = cli.main(["--format", fmt, *argv])
+        finally:
+            sys.stdout = sys.__stdout__
         seen[fmt + " " + argv[0]] = (code, loaded())
 print(repr(seen))
 """
 
 
 def test_scalar_commands_on_a_bare_interpreter_load_no_typing():
-    # -S skips the site hook, which may preload typing, pathlib or re and
-    # hide an import, and leaves site-packages off sys.path, so numpy cannot
-    # load either; json imports re, so only the CSV runs can show it absent
+    # -S skips the site hook, which may preload typing, pathlib, re,
+    # contextlib or os and hide an import, and leaves site-packages off
+    # sys.path, so numpy cannot load either; json imports re, so only the
+    # CSV runs can show it absent
     src_root = str(Path(mzduality.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-S", "-c", BARE_PROBE],

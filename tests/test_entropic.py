@@ -41,7 +41,14 @@ from mzduality import (
 )
 from mzduality import entropic
 from mzduality.cli import _VERIFY_BLOCK
-from mzduality.entropic import _ARC_BLOCK, _arc_blocks, _bias_entropy, _mixed_blocks, _pure_blocks
+from mzduality.entropic import (
+    _ARC_BLOCK,
+    _REGION_BLOCK,
+    _bias_entropy,
+    _linspace_blocks,
+    _mixed_blocks,
+    _pure_blocks,
+)
 
 INV_SQRT2 = 2.0**-0.5
 TWO_LN2 = 2.0 * LN2
@@ -332,12 +339,13 @@ class TestBruteForce:
         assert (threads[0] is threading.current_thread()) is not include_mixed
 
     def test_arc_sweep_error_reaches_the_caller(self, monkeypatch):
-        def failing_blocks(n):
-            yield from itertools.islice(arc_blocks(n), 1)
+        def failing_blocks(*args):
+            yield from itertools.islice(linspace_blocks(*args), 1)
             raise FloatingPointError("arc block failed")
 
-        arc_blocks = entropic._arc_blocks
-        monkeypatch.setattr(entropic, "_arc_blocks", failing_blocks)
+        # the ball sweep on the calling thread draws no linspace blocks
+        linspace_blocks = entropic._linspace_blocks
+        monkeypatch.setattr(entropic, "_linspace_blocks", failing_blocks)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="arc block failed"):
             brute_force_min(1.7, 10**5, include_mixed=True, seed=3)
@@ -514,6 +522,13 @@ class TestMemoryBound:
         # Up to 3.14 MB on the first call in a process, 2.26 MB on later calls
         assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
 
+    def test_constrained_min_over_region(self):
+        # one block of candidates, their Python floats and their arrays,
+        # about 0.8 MB at 3 * 10**4 samples as at 3 * 10**5; the whole
+        # candidate array and its one tolist() peaked at 67.2 MB here
+        half_space = REGIONS["half_space"]
+        assert self.traced_peak(constrained_min_over_region, 1.7, half_space, 3 * 10**5) < 1.6e6
+
     def test_random_pure_bloch(self):
         # the 24 MB result plus one block of draws; 56 MB as one draw
         assert self.traced_peak(random_pure_bloch, 10**6, 3) < 32e6
@@ -659,9 +674,24 @@ class TestArrayPathsKeepBits:
     @pytest.mark.parametrize("region", sorted(REGIONS))
     @pytest.mark.parametrize("q", [0.3, 1.0 - 1e-4, 1.0, 1.0 + 1e-6, Q_STAR, 2.0])
     def test_region_minimum(self, region, q):
+        self.check_region_minimum(region, q, 3_000)
+
+    # 3 * _REGION_BLOCK - 1 to + 1 put the sweep's and the sphere's block
+    # edges at and around their ends; 30 000 and 40 001 cross several blocks
+    # of each source, the ball's included
+    @pytest.mark.parametrize(
+        "n", [3 * _REGION_BLOCK - 1, 3 * _REGION_BLOCK, 3 * _REGION_BLOCK + 1, 30_000, 40_001]
+    )
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    @pytest.mark.parametrize("q", [0.3, 1.0, 1.0 + 1e-6, 2.0])
+    def test_region_minimum_across_blocks(self, region, q, n):
+        self.check_region_minimum(region, q, n)
+
+    @staticmethod
+    def check_region_minimum(region, q, n):
         got_calls, want_calls = Recorded(REGIONS[region]), Recorded(REGIONS[region])
-        got = constrained_min_over_region(q, got_calls, 3_000, seed=5)
-        want_val, want_argmin, want_n = reference_region_min(q, want_calls, 3_000, 5)
+        got = constrained_min_over_region(q, got_calls, n, seed=5)
+        want_val, want_argmin, want_n = reference_region_min(q, want_calls, n, 5)
         assert got_calls.calls == want_calls.calls
         assert repr(got.min_value) == repr(want_val)
         assert got.argmin.as_tuple() == want_argmin.as_tuple()
@@ -675,9 +705,17 @@ class TestArrayPathsKeepBits:
          3_000_001],
     )
     def test_arc_grid(self, n):
-        blocks = list(_arc_blocks(n))
+        blocks = list(_linspace_blocks(math.pi / 2.0, n, True, _ARC_BLOCK))
         assert all(len(a) <= _ARC_BLOCK for a in blocks)
         assert same_bits(np.concatenate(blocks), np.linspace(0.0, math.pi / 2.0, n))
+
+    # the region's x-z sweep: 4 is the smallest, the rest around its blocks
+    @pytest.mark.parametrize("n", [4, 2_044, 2_048, 2_052, 10_000, 13_332])
+    def test_sweep_grid(self, n):
+        blocks = list(_linspace_blocks(2.0 * math.pi, n, False, _REGION_BLOCK))
+        assert all(len(a) <= _REGION_BLOCK for a in blocks)
+        want = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        assert same_bits(np.concatenate(blocks), want)
 
     @pytest.mark.parametrize("n_states", [10_000, 16_383, 16_384, 16_385, 32_768, 65_537, 250_001])
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.95, 1.0, 1.05, Q_STAR, 2.0])
