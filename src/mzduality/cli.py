@@ -12,9 +12,10 @@ and the active tolerances. Identical invocations produce byte-identical
 output on the same Python, numpy and C library, on CPUs that take the
 same libm variant (glibc picks its ``log``, ``pow`` or ``cos`` by CPU
 features). The JSON text is exactly ``json.dumps(payload, indent=2)`` plus
-a newline. Large tables are formatted and written a row or a block of rows
-at a time. Every command validates its options before it writes; qscan then
-computes its rows as they are written, the others compute everything first.
+a newline. The mz and qscan tables are formatted and written in blocks of
+rows, one "%" per block; contour writes one grid row at a time. Every
+command validates its options before it writes; qscan then computes its
+rows as they are written, the others compute everything first.
 Angles are radians; floats are printed with 17 significant digits. Exit
 codes: 0 success, 1 usage or validation error, or stdout closed by its
 reader (nothing more is written and stderr stays empty), 2 property
@@ -60,7 +61,7 @@ TOLERANCE_DEFAULTS = {
 _TOLERANCE_NAMES = ", ".join(sorted(TOLERANCE_DEFAULTS))
 
 MAX_SEED = 2**64 - 1
-_ROW_BLOCK = 1024  # table rows per written chunk; mz formats them with one "%"
+_ROW_BLOCK = 1024  # table rows per written chunk, formatted with one "%"
 # verify's pure rows per block; its ball draws take twice as many rows. A
 # block's rows and audit arrays come to about 2 MB, which fit a 2 MiB L2 cache
 _VERIFY_BLOCK = 8192
@@ -152,11 +153,16 @@ def _write(cfg: RunConfig, chunks: Iterable[str]) -> None:
             out.close()
 
 
-def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
-    """sep.join of each run of _ROW_BLOCK items in turn: one chunk per block, not per row."""
-    items = iter(items)
-    while block := list(islice(items, _ROW_BLOCK)):
-        yield sep.join(block)
+def _table(template: str, sep: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """sep.join(template % row for row in rows), in blocks of _ROW_BLOCK rows.
+
+    One "%" and one chunk per block, not per row. A block's fields go straight
+    into one flat tuple, so no list of row tuples is built.
+    """
+    rows = iter(rows)
+    for first in rows:
+        fields = (*first, *chain.from_iterable(islice(rows, _ROW_BLOCK - 1)))
+        yield sep.join([template] * (len(fields) // len(first))) % fields
 
 
 def _g17(xs: Sequence[float]) -> list[str]:
@@ -206,19 +212,6 @@ def _symmetric_rows(
         cells[k + i : k + n] = upper
         cells[k + i :: n] = upper
         yield cells[k : k + n]
-
-
-def _row_blocks(template: str, sep: str, columns: Sequence[Sequence]) -> Iterator[str]:
-    """sep.join(template % row for row in zip(*columns)), in blocks of _ROW_BLOCK rows.
-
-    One "%" and one chunk per block, not per row.
-    """
-    width = len(columns)
-    flat = tuple(chain.from_iterable(zip(*columns)))
-    step = width * _ROW_BLOCK
-    for i in range(0, len(flat), step):
-        block = flat[i : i + step]
-        yield sep.join([template] * (len(block) // width)) % block
 
 
 _JSON_ITEM_SEP = ",\n    "  # between the items of a top-level array under indent=2
@@ -318,7 +311,7 @@ def cmd_mz(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
         columns = [_json_floats(c) for c in (scan.phases, scan.p_d1, scan.p_d2)]
         payload = {
             "meta": _meta_dict(cfg, argv),
-            "rows": _JsonArray(_row_blocks(row, _JSON_ITEM_SEP, columns)),
+            "rows": _JsonArray(_table(row, _JSON_ITEM_SEP, zip(*columns))),
             "p_max": scan.p_max,
             "p_min": scan.p_min,
             "v_operational": scan.v_operational,
@@ -327,7 +320,7 @@ def cmd_mz(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
         _write(cfg, _json_chunks(payload))
     else:
         head = _lines(_meta_lines(cfg, argv) + ["phi,p_d1,p_d2"])
-        rows = _row_blocks("%.17g,%.17g,%.17g\n", "", (scan.phases, scan.p_d1, scan.p_d2))
+        rows = _table("%.17g,%.17g,%.17g\n", "", zip(scan.phases, scan.p_d1, scan.p_d2))
         tail = _lines([
             f"# p_max: {_fmt(scan.p_max)}",
             f"# p_min: {_fmt(scan.p_min)}",
@@ -416,17 +409,16 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
             }).replace("\n", "\n    ")
             for q, regime, res in rows
         )
-        rows_json = _JsonArray(_joined(items, _JSON_ITEM_SEP))
+        rows_json = _JsonArray(_table("%s", _JSON_ITEM_SEP, zip(items)))
         _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), "rows": rows_json}))
     else:
         head = _lines(_meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"])
-        lines = (
-            f"{_fmt(q)},{regime},{_fmt(res.min_value)},"
-            + ";".join(f"{_fmt(v)}:{_fmt(p)}" for v, p in res.minimizers)
-            + "\n"
+        # "%.17g" spells every float the way _fmt does
+        table = (
+            (q, regime, res.min_value, ";".join(f"{_fmt(v)}:{_fmt(p)}" for v, p in res.minimizers))
             for q, regime, res in rows
         )
-        _write(cfg, chain([head], _joined(lines, "")))
+        _write(cfg, chain([head], _table("%.17g,%s,%.17g,%s\n", "", table)))
     return 0
 
 

@@ -30,6 +30,8 @@ from .qubit import (
     BlochVector,
     ProbPair,
     QubitState,
+    _check_finite,
+    _check_nonnegative,
     _checked_rows,
     _Record,
     _row_norms_sq,
@@ -236,6 +238,7 @@ def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:
     classification; the two must agree away from the band.
     """
     _check_q_minimization(q)
+    _check_nonnegative("band_eps", band_eps)
     q_star = find_q_star(1e-12)
     if abs(q - q_star) <= band_eps:
         return "II"
@@ -376,6 +379,7 @@ def unbiased_saturating_states(theta: float = 0.0) -> list[BlochVector]:
     saturate the duality bound at the balanced point and are the regime-III
     minimizers of the entropy sum.
     """
+    _check_finite("theta", theta)
     cx = math.cos(theta) * _INV_SQRT2
     cy = math.sin(theta) * _INV_SQRT2
     return [

@@ -20,6 +20,7 @@ from .qubit import (
     BlochObservable,
     BlochVector,
     QubitState,
+    _check_finite,
     _Record,
 )
 
@@ -32,6 +33,7 @@ def apply_beam_splitter(state: QubitState) -> QubitState:
 
 def apply_phase_shifter(state: QubitState, phi: float) -> QubitState:
     """Rotate by +phi about z: the off-diagonal phase theta advances by phi."""
+    _check_finite("phi", phi)
     s = state.bloch
     c, sn = math.cos(phi), math.sin(phi)
     return QubitState(BlochVector(s.sx * c - s.sy * sn, s.sx * sn + s.sy * c, s.sz))
@@ -54,11 +56,13 @@ def predictability_op() -> BlochObservable:
 
 def visibility_op(phi: float) -> BlochObservable:
     """The fringe quadrature cos(phi) sigma_x + sin(phi) sigma_y."""
+    _check_finite("phi", phi)
     return BlochObservable(0.0, 1.0, (math.cos(phi), math.sin(phi), 0.0))
 
 
 def visibility_perp_op(phi: float) -> BlochObservable:
     """The conjugate quadrature -sin(phi) sigma_x + cos(phi) sigma_y."""
+    _check_finite("phi", phi)
     return BlochObservable(0.0, 1.0, (-math.sin(phi), math.cos(phi), 0.0))
 
 

@@ -142,6 +142,18 @@ def _dot(u: Vec3, v: Vec3) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _check_finite(name: str, x: float) -> None:
+    """Refuse a NaN or infinite angle by name, before cos or sin can take it."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _check_nonnegative(name: str, x: float) -> None:
+    """Refuse a NaN, negative or infinite radius or tolerance by name."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+
+
 def _cross(u: Vec3, v: Vec3) -> Vec3:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -245,10 +257,8 @@ class QubitState(_Record):
         """Build from the (w+, r, theta) parametrization."""
         if not 0.0 <= w_plus <= 1.0:
             raise ValueError(f"w_plus must lie in [0, 1], got {w_plus!r}")
-        if not 0.0 <= r < math.inf:
-            raise ValueError(f"r must be finite and nonnegative, got {r!r}")
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta!r}")
+        _check_nonnegative("r", r)
+        _check_finite("theta", theta)
         return cls.from_bloch(
             2.0 * r * math.cos(theta), 2.0 * r * math.sin(theta), 2.0 * w_plus - 1.0
         )

@@ -17,7 +17,17 @@ from __future__ import annotations
 import math
 
 from .interferometer import predictability, visibility
-from .qubit import BlochObservable, QubitState, _cross, _dot, _Record, _xp, overlap
+from .qubit import (
+    BlochObservable,
+    QubitState,
+    _check_finite,
+    _check_nonnegative,
+    _cross,
+    _dot,
+    _Record,
+    _xp,
+    overlap,
+)
 
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
@@ -47,14 +57,18 @@ class UncertaintyVerdict(_Record):
     saturated: bool
 
 
-def _verdict_geq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
-    gap = lhs - rhs
+def _verdict(lhs: float, rhs: float, gap: float, eps_gap: float) -> UncertaintyVerdict:
+    """The verdict on gap; every relation and pv_audit reach eps_gap's one check here."""
+    _check_nonnegative("eps_gap", eps_gap)
     return UncertaintyVerdict(lhs, rhs, gap, gap >= -eps_gap, abs(gap) <= eps_gap)
+
+
+def _verdict_geq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
+    return _verdict(lhs, rhs, lhs - rhs, eps_gap)
 
 
 def _verdict_leq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
-    gap = rhs - lhs
-    return UncertaintyVerdict(lhs, rhs, gap, gap >= -eps_gap, abs(gap) <= eps_gap)
+    return _verdict(lhs, rhs, rhs - lhs, eps_gap)
 
 
 def _clamped_acos(x: float) -> float:
@@ -113,6 +127,7 @@ def sr_pv_form(state: QubitState, phi: float, eps_gap: float = EPS_GAP) -> Uncer
     At phi = theta it collapses to (1 - P^2)(1 - V^2) >= (PV)^2, which is
     algebraically the duality bound P^2 + V^2 <= 1.
     """
+    _check_finite("phi", phi)
     p = predictability(state)
     v = visibility(state)
     c = math.cos(state.theta - phi)
@@ -241,6 +256,7 @@ def pv_audit(
     Floats are evaluated by math and give plain floats and bools (see ``_xp``).
     """
     pp, vv = p * p, v * v
+    duality = _verdict_leq(pp + vv, 1.0, eps_gap)  # first: eps_gap is checked before the slack
     sr_lhs = (1.0 - pp) * (1.0 - vv)
     xp = _xp(sr_lhs)  # the type P and V broadcast to
     ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
@@ -249,7 +265,7 @@ def pv_audit(
     scale = (xp.sqrt(xp.maximum(sr_lhs, 0.0)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
     slack = eps_gap * scale + LP_ROUNDING
     return EquivalenceAudit(
-        duality=_verdict_leq(pp + vv, 1.0, eps_gap),
+        duality=duality,
         sr=_verdict_geq(sr_lhs, pp * v * v, eps_gap),
         lp=UncertaintyVerdict(
             lp_lhs, _LP_RHS, lp_gap, lp_gap * scale >= -slack, xp.abs(lp_gap) * scale <= slack

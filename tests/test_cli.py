@@ -32,6 +32,7 @@ from mzduality import (
 )
 from mzduality import cli, qubit
 from mzduality.cli import (
+    _JSON_ITEM_SEP,
     _ROW_BLOCK,
     _VERIFY_BLOCK,
     RunConfig,
@@ -42,6 +43,7 @@ from mzduality.cli import (
     _meta_dict,
     _meta_lines,
     _symmetric_rows,
+    _table,
     main,
 )
 from mzduality.qubit import EPS_POS, _checked_rows
@@ -195,20 +197,21 @@ def test_stdout_closed_before_the_first_write_ends_the_run_quietly():
 
 def test_closed_stdout_ends_the_run_quietly():
     # the default contour writes about 1 MB, far more than a pipe buffers
-    proc = subprocess.Popen(
+    # leaving the with block closes both pipes and waits for the child
+    with subprocess.Popen(
         [sys.executable, "-m", "mzduality.cli", "contour"],
         env=package_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        assert proc.stdout.readline() == b"# tool: mzduality %s\n" % mzduality.__version__.encode()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        first = b"# tool: mzduality %s\n" % mzduality.__version__.encode()
+        try:
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
     assert err == b""
 
 
@@ -1087,6 +1090,23 @@ def test_json_chunks_match_json_dumps():
     }
     plain = dict(payload, empty=[], floats=EDGE_FLOATS)
     assert "".join(_json_chunks(payload)) == _reference_json(plain)
+
+
+@pytest.mark.parametrize("sep", ["", _JSON_ITEM_SEP], ids=["csv", "json"])
+@pytest.mark.parametrize(
+    "template, row",
+    [("%s", lambda i: (f"[{i}]",)), ("%.17g,%s,%.17g\n", lambda i: (i / 7, f"r{i}", -i))],
+    ids=["one-field", "three-field"],
+)
+@pytest.mark.parametrize(
+    "n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1]
+)
+def test_table_formats_the_rows_in_blocks(template, row, sep, n):
+    rows = [row(i) for i in range(n)]
+    chunks = list(_table(template, sep, iter(rows)))
+    # the caller puts sep between the chunks, as _json_chunks does between array items
+    assert sep.join(chunks) == sep.join(template % r for r in rows)
+    assert len(chunks) == -(-n // _ROW_BLOCK)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -291,6 +291,9 @@ class TestClassifyRegime:
         for q in (0.0, 2.1, math.inf):
             with pytest.raises(ValueError):
                 classify_regime(q)
+        for band_eps in (math.nan, -1.0, -5e-324, math.inf):
+            with pytest.raises(ValueError, match="band_eps must be finite and nonnegative, got"):
+                classify_regime(1.5, band_eps)
 
     def test_agrees_with_structural_classification(self):
         q_star = find_q_star(1e-12)

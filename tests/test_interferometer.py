@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from mzduality import (
     probabilities,
     random_mixed_bloch,
     random_pure_bloch,
+    sr_pv_form,
+    unbiased_saturating_states,
     visibility,
     visibility_op,
     visibility_perp_op,
@@ -220,3 +223,21 @@ class TestFringeScan:
         coarse = abs(fringe_scan(state, 36).v_operational - visibility(state))
         fine = abs(fringe_scan(state, 3600).v_operational - visibility(state))
         assert fine <= coarse + 1e-15
+
+
+# each public function that takes an angle, with the name it gives it
+ANGLE_ENTRY_POINTS = {
+    "apply_phase_shifter": ("phi", lambda x: apply_phase_shifter(MAXIMALLY_MIXED, x)),
+    "visibility_op": ("phi", visibility_op),
+    "visibility_perp_op": ("phi", visibility_perp_op),
+    "sr_pv_form": ("phi", lambda x: sr_pv_form(QubitState.from_bloch(0.6, 0.0, 0.8), x)),
+    "unbiased_saturating_states": ("theta", unbiased_saturating_states),
+}
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("entry", ANGLE_ENTRY_POINTS)
+def test_non_finite_angle_is_refused_by_name(entry, angle):
+    name, call = ANGLE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {angle!r}")):
+        call(angle)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -233,6 +234,23 @@ class TestEquivalenceAudit:
         # a huge tolerance declares everything saturated, in every relation
         audit = equivalence_audit(MAXIMALLY_MIXED, eps_gap=10.0)
         assert audit.duality.saturated and audit.sr.saturated and audit.lp.saturated
+
+    @pytest.mark.parametrize("eps_gap", [math.nan, -1.0, -5e-324, math.inf], ids=repr)
+    def test_bad_eps_gap_is_refused_by_name(self, eps_gap):
+        state = QubitState.from_bloch(0.6, 0.0, 0.8)
+        a, b = predictability_op(), visibility_op(0.3)
+        relations = (sr_relation, hr_relation, lp_relation, lp_product_form, lp_qubit_form)
+        calls = [
+            *(partial(relation, a, b, state, eps_gap) for relation in relations),
+            partial(sr_pv_form, state, 0.3, eps_gap),
+            partial(duality_inequality, state, eps_gap),
+            partial(equivalence_audit, state, eps_gap),
+            partial(pv_audit, np.array([0.0, 0.6]), np.array([1.0, 0.8]), eps_gap),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="eps_gap must be finite and nonnegative, got"):
+                call()
+        assert equivalence_audit(state, 0.0).duality.holds
 
     def test_duality_holds_flags(self):
         audit = equivalence_audit(SUPER)
