@@ -12,7 +12,9 @@ and the active tolerances. Identical invocations produce byte-identical
 output on the same Python, numpy and C library, on CPUs that take the
 same libm variant (glibc picks its ``log``, ``pow`` or ``cos`` by CPU
 features). The JSON text is exactly ``json.dumps(payload, indent=2)`` plus
-a newline. The mz and qscan tables are formatted and written in blocks of
+a newline. Every table float is spelled by "%": "%.17g" in CSV and "%r" in
+JSON, which is json's spelling of a finite float, the only kind a table
+holds. The mz and qscan tables are formatted and written in blocks of
 rows, one "%" per block; contour writes one grid row at a time. Every
 command validates its options before it writes; qscan then computes its
 rows as they are written, the others compute everything first.
@@ -24,7 +26,6 @@ violation detected by verify.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from itertools import chain, islice
@@ -46,7 +47,7 @@ from .entropic import (
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
 from .qubit import EPS_POS, QubitState, _checked_rows, _Record
-from .uncertainty import EPS_GAP, equivalence_audit, pv_audit
+from .uncertainty import EPS_GAP, _pv_audit, equivalence_audit
 
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
@@ -165,22 +166,13 @@ def _table(template: str, sep: str, rows: Iterable[tuple]) -> Iterator[str]:
         yield sep.join([template] * (len(fields) // len(first))) % fields
 
 
-def _g17(xs: Sequence[float]) -> list[str]:
-    """format(x, ".17g") of each float; "%.17g" spells every float the same way."""
-    return ("%.17g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
+def _spelled(fmt: str, xs: Sequence[float]) -> list[str]:
+    """fmt % x for each float x, with one "%": "%.17g" for CSV, "%r" for JSON.
 
-
-@functools.cache
-def _encode_lines() -> Callable[[Sequence[float]], str]:
-    """One JSON value per line; json is imported on the first JSON output, not by CSV."""
-    import json
-
-    return json.JSONEncoder(separators=("\n", ": ")).encode
-
-
-def _json_floats(xs: Sequence[float]) -> list[str]:
-    """json's own spelling of each float (repr, NaN, Infinity), from its C encoder."""
-    return _encode_lines()(xs)[1:-1].split("\n") if xs else []
+    For a finite Python float "%r" is json's own spelling; only such floats
+    reach a JSON table (its ``inf`` and ``nan`` are not JSON).
+    """
+    return ((fmt + "\n") * len(xs) % tuple(xs)).split("\n")[:-1]
 
 
 def _grid_cells(q: float, n: int) -> list[None]:
@@ -196,19 +188,17 @@ def _grid_cells(q: float, n: int) -> list[None]:
         raise MemoryError(f"--n {n}: no memory for the {n} x {n} = {n * n} cells") from None
 
 
-def _symmetric_rows(
-    h: Sequence[float], fmt_row: Callable[[list[float]], list[str]], cells: list
-) -> Iterator[list[str]]:
+def _symmetric_rows(h: Sequence[float], fmt: str, cells: list) -> Iterator[list[str]]:
     """Row by row, the strings of the exactly symmetric matrix h_i + h_j.
 
-    Only the cells on and above the diagonal go through fmt_row; each
+    Only the cells on and above the diagonal are spelled with fmt; each
     string is mirrored into the cell below the diagonal that equals it.
     ``cells`` has n * n slots: row i from i * n, column i every n-th from i.
     """
     n = len(h)
     for i, hi in enumerate(h):
         k = i * n
-        upper = fmt_row([hi + hj for hj in h[i:]])
+        upper = _spelled(fmt, [hi + hj for hj in h[i:]])
         cells[k + i : k + n] = upper
         cells[k + i :: n] = upper
         yield cells[k : k + n]
@@ -307,11 +297,11 @@ def cmd_mz(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     scan = fringe_scan(inside, ns.phases)
     v_analytic = visibility(inside)
     if cfg.output_format == "json":
-        row = '{\n      "phi": %s,\n      "p_d1": %s,\n      "p_d2": %s\n    }'
-        columns = [_json_floats(c) for c in (scan.phases, scan.p_d1, scan.p_d2)]
+        row = '{\n      "phi": %r,\n      "p_d1": %r,\n      "p_d2": %r\n    }'
+        rows = zip(scan.phases, scan.p_d1, scan.p_d2)
         payload = {
             "meta": _meta_dict(cfg, argv),
-            "rows": _JsonArray(_table(row, _JSON_ITEM_SEP, zip(*columns))),
+            "rows": _JsonArray(_table(row, _JSON_ITEM_SEP, rows)),
             "p_max": scan.p_max,
             "p_min": scan.p_min,
             "v_operational": scan.v_operational,
@@ -348,7 +338,8 @@ def cmd_verify(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     start = 0
     for rows in blocks:
         s = _checked_rows(rows, eps_pos)
-        audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), eps_gap)
+        # checked rows give finite, nonnegative P and V, so pv_audit's check is skipped
+        audit = _pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), eps_gap)
         bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
         violations += [
             (
@@ -397,28 +388,24 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     band = cfg.tolerances["band_eps"]
     rows = ((q, classify_regime(q, band), minimize_entropy_sum(q)) for q in qs)
     if cfg.output_format == "json":
-        import json
-
-        encode = json.JSONEncoder(indent=2).encode
-        items = (
-            encode({
-                "q": q,
-                "regime": regime,
-                "min_value": res.min_value,
-                "minimizers": [[v, p] for v, p in res.minimizers],
-            }).replace("\n", "\n    ")
-            for q, regime, res in rows
+        # a row is json.dumps(row, indent=2) as an item of the top-level "rows" array
+        row = (
+            '{\n      "q": %r,\n      "regime": "%s",\n      "min_value": %r,'
+            '\n      "minimizers": [\n        %s\n      ]\n    }'
         )
-        rows_json = _JsonArray(_table("%s", _JSON_ITEM_SEP, zip(items)))
-        _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), "rows": rows_json}))
+        pair, pairs_sep = "[\n          %r,\n          %r\n        ]", ",\n        "
+    else:
+        row, pair, pairs_sep = "%.17g,%s,%.17g,%s\n", "%.17g:%.17g", ";"
+    items = (
+        (q, regime, res.min_value, pairs_sep.join([pair % vp for vp in res.minimizers]))
+        for q, regime, res in rows
+    )
+    if cfg.output_format == "json":
+        table = _JsonArray(_table(row, _JSON_ITEM_SEP, items))
+        _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), "rows": table}))
     else:
         head = _lines(_meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"])
-        # "%.17g" spells every float the way _fmt does
-        table = (
-            (q, regime, res.min_value, ";".join(f"{_fmt(v)}:{_fmt(p)}" for v, p in res.minimizers))
-            for q, regime, res in rows
-        )
-        _write(cfg, chain([head], _table("%.17g,%s,%.17g,%s\n", "", table)))
+        _write(cfg, chain([head], _table(row, "", items)))
     return 0
 
 
@@ -449,10 +436,10 @@ def cmd_contour(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
             "q": ns.q,
             "n": ns.n,
             "constraint": ContourGrid.constraint,
-            "axis": _JsonArray(_json_floats(axis)),
+            "axis": _JsonArray(_spelled("%r", axis)),
             "values": _JsonArray(
                 "[" + inner + ("," + inner).join(row) + "\n    ]"
-                for row in _symmetric_rows(h, _json_floats, cells)
+                for row in _symmetric_rows(h, "%r", cells)
             ),
         }
         _write(cfg, _json_chunks(payload))
@@ -464,11 +451,11 @@ def cmd_contour(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
             "v,p,value",
         ])
         # row i is "v_i,p_j,value_ij" over j; the numeric axis strings hold no "%"
-        axis = _g17(axis)
+        axis = _spelled("%.17g", axis)
         templates = [f",{p},%s\n" for p in axis]
         rows = (
             v + v.join(templates) % tuple(row)
-            for v, row in zip(axis, _symmetric_rows(h, _g17, cells))
+            for v, row in zip(axis, _symmetric_rows(h, "%.17g", cells))
         )
         _write(cfg, chain([head], rows))
     return 0

@@ -128,6 +128,14 @@ def _bias_entropy(x, q):
     return _entropy(p, m, q)
 
 
+def _state_entropy_sum(x, y, z, q):
+    """H_q(|z|) + H_q(hypot(x, y)) of Bloch components: floats, or arrays elementwise."""
+    xp = _xp(z)
+    h = _bias_entropy(xp.abs(z), q)
+    h += _bias_entropy(xp.hypot(x, y), q)
+    return h
+
+
 def renyi_entropy(probs: ProbPair, q: float) -> float:
     """Renyi entropy H_q = ln(p+^q + p-^q)/(1-q) of a two-outcome distribution.
 
@@ -311,9 +319,7 @@ def brute_force_min(
         arc = pool.submit(_arc_min, q, n_states)
         best = math.inf
         for s in _mixed_blocks(n_states, seed, _BLOCK):
-            vals = _bias_entropy(np.abs(s[:, 2]), q)
-            vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
-            best = min(best, float(vals.min()))
+            best = min(best, float(_state_entropy_sum(*s.T, q).min()))
         return min(arc.result(), best)
 
 
@@ -441,37 +447,35 @@ def constrained_min_over_region(
 
     # The checked rows hold the bits of the BlochVectors the predicate saw.
     # Arrays rank the accepted ones; numpy may differ from math in the last
-    # bits, so the rows within 1e-12 of the running array minimum are kept,
-    # with their raw rows, and at the end the float values decide among
-    # those within 1e-12 of the final minimum, first strict minimum kept.
+    # bits, so the states within 1e-12 of the running array minimum are kept,
+    # and at the end their float values decide among those within 1e-12 of
+    # the final minimum, first strict minimum kept.
     n_accepted = 0
     low = math.inf
-    near = []  # (array value, raw row, checked row), in candidate order
+    near = []  # (array value, accepted BlochVector), in candidate order
     for block in blocks:
-        rows = block.tolist()
-        index = np.flatnonzero([bool(region(BlochVector(x, y, z))) for x, y, z in rows])
-        if not index.size:
+        states = map(BlochVector, *block.T.tolist())
+        accepted = [(i, bv) for i, bv in enumerate(states) if region(bv)]
+        if not accepted:
             continue
-        n_accepted += index.size
-        s = _checked_rows(block[index])
-        vals = _bias_entropy(np.abs(s[:, 2]), q)
-        vals += _bias_entropy(np.hypot(s[:, 0], s[:, 1]), q)
+        n_accepted += len(accepted)
+        s = _checked_rows(block[[i for i, _ in accepted]])
+        vals = _state_entropy_sum(*s.T, q)
         low = min(low, float(vals.min()))
         near = [kept for kept in near if kept[0] <= low + 1e-12]
         near += [
-            (float(vals[i]), rows[index[i]], s[i].tolist())
-            for i in np.flatnonzero(vals <= low + 1e-12).tolist()
+            (float(vals[k]), accepted[k][1]) for k in np.flatnonzero(vals <= low + 1e-12).tolist()
         ]
     if not n_accepted:
         raise ValueError("region predicate rejected every sampled state")
 
     best_val = math.inf
-    for _, row, (x, y, z) in near:
-        val = _bias_entropy(abs(z), q) + _bias_entropy(math.hypot(x, y), q)
+    for _, bv in near:
+        val = _state_entropy_sum(bv.sx, bv.sy, bv.sz, q)
         if val < best_val:
             best_val = val
-            best = row
-    return RegionMinimum(min_value=best_val, argmin=BlochVector(*best), n_accepted=n_accepted)
+            best = bv
+    return RegionMinimum(min_value=best_val, argmin=best, n_accepted=n_accepted)
 
 
 def _check_n(n: int) -> None:

@@ -32,6 +32,7 @@ class _Floats:
 
     sqrt = staticmethod(math.sqrt)
     abs = staticmethod(abs)
+    hypot = staticmethod(math.hypot)
     maximum = staticmethod(lambda a, b: a if a > b or a != a else b)
     log = staticmethod(lambda x, out=None: math.log(x))
     expm1 = staticmethod(lambda x, out=None: math.expm1(x))
@@ -149,7 +150,7 @@ def _check_finite(name: str, x: float) -> None:
 
 
 def _check_nonnegative(name: str, x: float) -> None:
-    """Refuse a NaN, negative or infinite radius or tolerance by name."""
+    """Refuse a NaN, negative or infinite radius, tolerance or bias by name."""
     if not 0.0 <= x < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
 

@@ -241,6 +241,19 @@ class EquivalenceAudit(_Record):
         )
 
 
+def _check_bias(name: str, x) -> None:
+    """Refuse a NaN, negative or infinite P or V by name: a float, or an array's first such entry.
+
+    An array costs one ``min`` and one ``max``, which ``verify`` skips through
+    ``_pv_audit``. A bias above 1 is kept: a unit Bloch vector's V may round
+    to 1 + 1 ulp, and a larger one is a violation that the verdicts report.
+    """
+    if isinstance(x, (int, float)):
+        _check_nonnegative(name, float(x))
+    elif x.size and not (0.0 <= x.min() and x.max() < math.inf):  # a NaN fails both
+        _check_nonnegative(name, float(x[~((x >= 0.0) & (x < math.inf))][0]))
+
+
 def pv_audit(
     p: float | np.ndarray, v: float | np.ndarray, eps_gap: float = EPS_GAP
 ) -> EquivalenceAudit:
@@ -254,7 +267,15 @@ def pv_audit(
     a pure state's last-ulp norm error alone gives an LP gap above eps_gap,
     so the LP leg compares gap * scale with eps_gap * scale + LP_ROUNDING.
     Floats are evaluated by math and give plain floats and bools (see ``_xp``).
+    A NaN, negative or infinite P or V is refused by name; one above 1 is not.
     """
+    _check_bias("P", p)
+    _check_bias("V", v)
+    return _pv_audit(p, v, eps_gap)
+
+
+def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
+    """``pv_audit`` without its P and V check, for biases known finite and nonnegative."""
     pp, vv = p * p, v * v
     duality = _verdict_leq(pp + vv, 1.0, eps_gap)  # first: eps_gap is checked before the slack
     sr_lhs = (1.0 - pp) * (1.0 - vv)

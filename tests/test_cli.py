@@ -26,6 +26,7 @@ from mzduality import (
     find_q_star,
     fringe_scan,
     minimize_entropy_sum,
+    pv_audit,
     random_mixed_bloch,
     random_pure_bloch,
     visibility,
@@ -36,12 +37,11 @@ from mzduality.cli import (
     _ROW_BLOCK,
     _VERIFY_BLOCK,
     RunConfig,
-    _g17,
     _json_chunks,
-    _json_floats,
     _JsonArray,
     _meta_dict,
     _meta_lines,
+    _spelled,
     _symmetric_rows,
     _table,
     main,
@@ -386,7 +386,7 @@ def reference_verify(ns, cfg, argv):
     n_pure = ns.n // 2
     rows = [random_pure_bloch(n_pure, cfg.seed), random_mixed_bloch(ns.n - n_pure, cfg.seed + 1)]
     s = _checked_rows(np.vstack(rows), cfg.tolerances["eps_pos"])
-    audit = cli.pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), cfg.tolerances["eps_gap"])
+    audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), cfg.tolerances["eps_gap"])
     bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
     violations = [
         (
@@ -564,8 +564,10 @@ def reference_qscan(ns, cfg, argv):
         ["--steps", str(_ROW_BLOCK)],
         ["--qmin", "1.4", "--qmax", "1.5", "--steps", str(_ROW_BLOCK + 1)],
         ["--tolerance", "band_eps=0.01", "--steps", str(2 * _ROW_BLOCK + 1)],
+        ["--qmin", repr(Q_STAR), "--qmax", repr(Q_STAR), "--steps", "1"],
+        ["--qmin", "1.9", "--qmax", "2", "--steps", "3"],
     ],
-    ids=["one", "two", "block-1", "block", "block+1", "2block+1"],
+    ids=["one", "two", "block-1", "block", "block+1", "2block+1", "regime-II", "regime-III"],
 )
 def test_streamed_qscan_keeps_the_whole_table_bytes(capsys, monkeypatch, args, fmt):
     argv = ["--format", fmt, "qscan", *args]
@@ -590,6 +592,23 @@ def test_qscan_memory_is_constant_in_steps(tmp_path, fmt, bound):
     assert code == 0
     assert out.read_text().count("regime") == (1 if fmt == "csv" else 10**4)
     assert peak < bound
+
+
+def test_mz_json_memory_holds_no_column_strings(tmp_path):
+    # the rows are spelled a block at a time from the scan's floats: about
+    # 10 MB, nearly all the scan's three tuples; the three columns of N
+    # strings peaked at 34 MB
+    out = tmp_path / "mz.json"
+    tracemalloc.start()
+    try:
+        code = main(["--format", "json", "--out", str(out), "mz", "--bloch", "0.6,0,0.8",
+                     "--phases", str(10**5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.read_text().count('"phi"') == 10**5
+    assert peak < 16e6
 
 
 def test_contour_csv(capsys):
@@ -1057,27 +1076,65 @@ EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1]
 
 def test_csv_row_emitter_matches_format():
     xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0, math.inf, -math.inf, math.nan]
-    assert _g17(xs) == [format(x, ".17g") for x in xs]
-    assert _g17(EDGE_FLOATS) == [
+    assert _spelled("%.17g", xs) == [format(x, ".17g") for x in xs]
+    assert _spelled("%.17g", EDGE_FLOATS) == [
         "-0", "4.9406564584124654e-324", "10000000000000000", "9.9999999999999995e-08",
         "0.10000000000000001",
     ]
-    assert _g17([]) == []
+    assert _spelled("%.17g", []) == []
+
+
+def random_finite_doubles(n: int, seed: int) -> list[float]:
+    """Doubles from uniform random bit patterns, so every exponent and subnormals show."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64)
+    xs = bits.view(np.float64)
+    return xs[np.isfinite(xs)].tolist()
 
 
 def test_json_row_emitter_matches_json_dumps():
-    xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0, math.inf, -math.inf, math.nan]
-    assert _json_floats(xs) == [json.dumps(x) for x in xs]
-    assert _json_floats(EDGE_FLOATS) == ["-0.0", "5e-324", "1e+16", "1e-07", "0.1"]
-    assert _json_floats([]) == []
+    xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0] + random_finite_doubles(10**5, 23)
+    assert len(xs) > 99_000
+    assert _spelled("%r", xs) == [json.dumps(x) for x in xs]
+    assert _spelled("%r", EDGE_FLOATS) == ["-0.0", "5e-324", "1e+16", "1e-07", "0.1"]
+    assert _spelled("%r", []) == []
+
+
+def _refuse_constant(name: str):
+    raise AssertionError(f"a JSON table holds {name}")
+
+
+# the extreme inputs of each JSON table: contour at tiny, huge and near-1
+# indices, mz on a state renormalized to norm 1, qscan down to 1e-300 and at q*
+JSON_TABLES = [
+    *(["contour", "--q", q, "--n", "33"]
+      for q in ("1", "1.5", "0.3", "2", "1e-300", "1e300", "1.0000001")),
+    ["mz", "--bloch", "0.7512032581921485,-0.6600709544295223,0", "--phases", "1025"],
+    ["qscan", "--qmin", "1e-300", "--qmax", "2", "--steps", "300"],
+    ["qscan", "--qmin", repr(Q_STAR), "--qmax", repr(Q_STAR), "--steps", "1"],
+]
+
+
+def test_json_tables_hold_only_finite_floats(capsys):
+    # "%r" is json's spelling only for a finite float: it writes inf and
+    # nan, which json writes as Infinity and NaN
+    non_finite = [math.inf, -math.inf, math.nan]
+    assert _spelled("%r", non_finite) == ["inf", "-inf", "nan"]
+    assert [json.dumps(x) for x in non_finite] == ["Infinity", "-Infinity", "NaN"]
+    for argv in JSON_TABLES:
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert json.dumps(payload, indent=2) + "\n" == out
+        if argv[0] == "qscan" and argv[2] == repr(Q_STAR):
+            assert [(r["regime"], len(r["minimizers"])) for r in payload["rows"]] == [("II", 3)]
 
 
 def test_symmetric_rows_match_per_cell_formatting():
     h = list(EDGE_FLOATS)
     values = np.add.outer(h, h)
     assert np.array_equal(values, values.T)
-    for fmt_row, fmt_cell in ((_g17, lambda x: format(x, ".17g")), (_json_floats, json.dumps)):
-        rows = list(_symmetric_rows(h, fmt_row, [None] * len(h) ** 2))
+    for fmt, fmt_cell in (("%.17g", lambda x: format(x, ".17g")), ("%r", json.dumps)):
+        rows = list(_symmetric_rows(h, fmt, [None] * len(h) ** 2))
         assert rows == [[fmt_cell(x) for x in row] for row in values.tolist()]
 
 
@@ -1085,7 +1142,7 @@ def test_json_chunks_match_json_dumps():
     payload = {
         "meta": {"a": [1, "x"], "b": {}, "c": []},
         "empty": _JsonArray([]),
-        "floats": _JsonArray(_json_floats(EDGE_FLOATS)),
+        "floats": _JsonArray(_spelled("%r", EDGE_FLOATS)),
         "n": 3,
     }
     plain = dict(payload, empty=[], floats=EDGE_FLOATS)

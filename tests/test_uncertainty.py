@@ -336,6 +336,30 @@ class TestPvAudit:
                     got = getattr(f, name)
                     assert type(got) is bool and got == bool(getattr(a, name)[i]), (pi, vi, name)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -5e-324, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", ["P", "V"])
+    def test_bad_bias_is_refused_by_name(self, name, bad):
+        # pv_audit(-1, 0) held and saturated every relation, and a NaN gave
+        # NaN gaps that agreed on saturation
+        good = 0.6
+        calls = [(bad, good), (np.array([good, bad, bad]), np.array([good, good, good]))]
+        for p, v in calls:
+            args = (p, v) if name == "P" else (v, p)
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got "):
+                pv_audit(*args)
+
+    def test_biases_past_one_are_audited_not_refused(self):
+        # a unit equatorial vector may give V = 1 + 1 ulp, and it saturates;
+        # a bias of 2 is a violation that the verdicts report
+        over = 1.0 + 2.0**-52
+        assert visibility(QubitState.from_bloch(0.7512032581921485, -0.6600709544295223, 0.0)) == over
+        for p, v in ((0.0, over), (np.array([-0.0]), np.array([over]))):
+            audit = pv_audit(p, v)
+            assert bool(np.all(audit.all_hold)) and bool(np.all(audit.duality.saturated))
+        assert not pv_audit(2.0, 0.0).duality.holds
+        empty = pv_audit(np.array([]), np.array([]))
+        assert empty.all_hold.shape == (0,)
+
     def test_slightly_mixed_states_stay_unsaturated(self):
         # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, and the
         # rounding bound must not pull any relation into saturation
