@@ -46,7 +46,7 @@ from .entropic import (
     minimize_entropy_sum,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
-from .qubit import EPS_POS, QubitState, _checked_rows, _Record
+from .qubit import EPS_POS, QubitState, _check_count, _checked_rows, _Record
 from .uncertainty import EPS_GAP, _pv_audit, equivalence_audit
 
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
@@ -322,8 +322,7 @@ def cmd_mz(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def cmd_verify(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
-    if ns.n < 1:
-        raise ValueError(f"--n must be at least 1, got {ns.n}")
+    _check_count("--n", ns.n, 1)
     import numpy as np
 
     eps_pos, eps_gap = cfg.tolerances["eps_pos"], cfg.tolerances["eps_gap"]
@@ -379,8 +378,7 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
             f"need 0 < qmin <= qmax <= 2 (pure-state reduction is concavity-"
             f"limited to q <= 2), got qmin={ns.qmin!r} qmax={ns.qmax!r}"
         )
-    if ns.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {ns.steps}")
+    _check_count("--steps", ns.steps, 1)
     # the rows are computed as they are written, so only a block is held
     n = ns.steps - 1
     step = (ns.qmax - ns.qmin) / max(n, 1)

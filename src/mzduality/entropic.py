@@ -30,6 +30,7 @@ from .qubit import (
     BlochVector,
     ProbPair,
     QubitState,
+    _check_count,
     _check_finite,
     _check_nonnegative,
     _checked_rows,
@@ -307,8 +308,7 @@ def brute_force_min(
     exception on the helper is raised here.
     """
     _check_q_minimization(q)
-    if n_states < 10_000:
-        raise ValueError(f"n_states must be at least 10000, got {n_states}")
+    _check_count("n_states", n_states, 10_000)
     if not include_mixed:
         return _arc_min(q, n_states)
     from concurrent.futures import ThreadPoolExecutor
@@ -356,8 +356,7 @@ def _check_grid(q: float, n: int) -> None:
     _check_q(q)
     if q == math.inf:
         raise ValueError("contour grids require a finite Renyi index")
-    if n < 32:
-        raise ValueError(f"n must be at least 32, got {n}")
+    _check_count("n", n, 32)
 
 
 def _grid_entropies(q: float, n: int) -> tuple[list[float], list[float]]:
@@ -426,8 +425,7 @@ def constrained_min_over_region(
     within 1e-12 of the minimum.
     """
     _check_q_minimization(q)
-    if n_samples < 12:
-        raise ValueError(f"n_samples must be at least 12, got {n_samples}")
+    _check_count("n_samples", n_samples, 12)
     import numpy as np
 
     base = n_samples // 3
@@ -476,11 +474,6 @@ def constrained_min_over_region(
             best_val = val
             best = bv
     return RegionMinimum(min_value=best_val, argmin=best, n_accepted=n_accepted)
-
-
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
 
 
 def _pure_blocks(n: int, seed: int, rows: int):
@@ -545,7 +538,7 @@ def random_pure_bloch(n: int, seed: int) -> np.ndarray:
     Rows come from ``_pure_blocks`` in blocks of ``_BLOCK``, so beyond the
     (n, 3) result only one block of draws is held at a time.
     """
-    _check_n(n)
+    _check_count("n", n, 0)
     return _gathered(n, _pure_blocks(n, seed, _BLOCK))
 
 
@@ -555,5 +548,5 @@ def random_mixed_bloch(n: int, seed: int) -> np.ndarray:
     Rows come from ``_mixed_blocks``, so beyond the (n, 3) result only one
     block of draws is held at a time.
     """
-    _check_n(n)
+    _check_count("n", n, 0)
     return _gathered(n, _mixed_blocks(n, seed, _BLOCK))

@@ -20,6 +20,7 @@ from .qubit import (
     BlochObservable,
     BlochVector,
     QubitState,
+    _check_count,
     _check_finite,
     _Record,
 )
@@ -91,8 +92,7 @@ def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:
     output has sz = -(sx cos phi - sy sin phi), so the whole scan is the
     closed form p_d1 = (1 - (sx cos phi - sy sin phi))/2 over the grid.
     """
-    if n_phases < 8:
-        raise ValueError(f"n_phases must be at least 8, got {n_phases}")
+    _check_count("n_phases", n_phases, 8)
     sx, sy = state.bloch.sx, state.bloch.sy
     phases = tuple([TWO_PI * i / n_phases for i in range(n_phases)])
     p1 = tuple([

@@ -37,7 +37,7 @@ class _Floats:
     log = staticmethod(lambda x, out=None: math.log(x))
     expm1 = staticmethod(lambda x, out=None: math.expm1(x))
     log1p = staticmethod(lambda x, out=None: math.log1p(x))
-    clip = staticmethod(lambda x, lo, hi, out=None: max(lo, min(x, hi)))
+    clip = staticmethod(lambda x, lo, hi, out=None: min(max(x, lo), hi))
     where = staticmethod(lambda cond, a, b: a if cond else b)
 
 
@@ -153,6 +153,14 @@ def _check_nonnegative(name: str, x: float) -> None:
     """Refuse a NaN, negative or infinite radius, tolerance or bias by name."""
     if not 0.0 <= x < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+
+
+def _check_count(name: str, n: int, low: int) -> None:
+    """Refuse by name a count below low or not an integer (numpy's are; a bool is not)."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < low:
+        raise ValueError(f"{name} must be at least {low}, got {n}")
 
 
 def _cross(u: Vec3, v: Vec3) -> Vec3:

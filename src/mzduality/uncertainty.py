@@ -35,9 +35,6 @@ if TYPE_CHECKING:
 
 EPS_GAP = 1e-9  # |gap| below this counts as saturated
 _ACOS_SLACK = 1e-12  # arccos/sqrt arguments may overshoot their domain by this
-# rounding bound of the audit's scaled LP gap (see pv_audit), in units of
-# 2^-53: float evaluation adds at most 6.3 and the stored state 2, rounded up
-LP_ROUNDING = 16 * 2.0**-53
 _LP_RHS = math.sqrt(0.5)  # overlap of sigma_z with any fringe quadrature
 
 
@@ -45,9 +42,8 @@ class UncertaintyVerdict(_Record):
     """Evaluated inequality: both sides, the slack, and the boolean verdicts.
 
     ``gap`` is oriented so that the relation holds iff gap >= -eps_gap,
-    regardless of whether the underlying inequality reads >= or <=. The
-    one exception is the LP leg of the equivalence audit, which compares
-    against eps_gap plus the rounding bound of its gap (see ``pv_audit``).
+    regardless of whether the underlying inequality reads >= or <=. The LP
+    leg of the equivalence audit judges gap * scale instead (see ``pv_audit``).
     """
 
     lhs: float
@@ -263,9 +259,9 @@ def pv_audit(
     sqrt(M_P M_V) - sqrt((1 - M_P)(1 - M_V)) <= sqrt(1/2), M_X = (1 + X)/2;
     arrays give array fields, rhs stays a constant. The LP gap equals
     (1 - P^2 - V^2)/scale, scale = (S + PV)(sqrt 2 + 2 lhs), S = sqrt((1 -
-    P^2)(1 - V^2)). The scale vanishes at the poles and on the equator, where
-    a pure state's last-ulp norm error alone gives an LP gap above eps_gap,
-    so the LP leg compares gap * scale with eps_gap * scale + LP_ROUNDING.
+    P^2)(1 - V^2)), so the LP leg judges gap * scale, the duality gap, with
+    eps_gap, as the other two legs do. The three gaps round apart only
+    within about 1e-7 (relative) of 1 - P^2 - V^2 = eps_gap.
     Floats are evaluated by math and give plain floats and bools (see ``_xp``).
     A NaN, negative or infinite P or V is refused by name; one above 1 is not.
     """
@@ -277,19 +273,19 @@ def pv_audit(
 def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
     """``pv_audit`` without its P and V check, for biases known finite and nonnegative."""
     pp, vv = p * p, v * v
-    duality = _verdict_leq(pp + vv, 1.0, eps_gap)  # first: eps_gap is checked before the slack
+    duality = _verdict_leq(pp + vv, 1.0, eps_gap)  # first: it checks eps_gap for all three legs
     sr_lhs = (1.0 - pp) * (1.0 - vv)
     xp = _xp(sr_lhs)  # the type P and V broadcast to
     ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
     lp_lhs = xp.sqrt(ma * mb) - xp.sqrt(xp.maximum((1.0 - ma) * (1.0 - mb), 0.0))
     lp_gap = _LP_RHS - lp_lhs
     scale = (xp.sqrt(xp.maximum(sr_lhs, 0.0)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
-    slack = eps_gap * scale + LP_ROUNDING
+    scaled = lp_gap * scale  # the duality gap, up to rounding
     return EquivalenceAudit(
         duality=duality,
         sr=_verdict_geq(sr_lhs, pp * v * v, eps_gap),
         lp=UncertaintyVerdict(
-            lp_lhs, _LP_RHS, lp_gap, lp_gap * scale >= -slack, xp.abs(lp_gap) * scale <= slack
+            lp_lhs, _LP_RHS, lp_gap, scaled >= -eps_gap, xp.abs(scaled) <= eps_gap
         ),
     )
 

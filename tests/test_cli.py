@@ -332,17 +332,25 @@ def test_global_flags_accepted_before_or_after_subcommand(capsys):
     assert strip(before) == strip(after)
 
 
-def test_verify_flags_saturation_scale_mismatch(capsys):
-    # a coarse eps_gap saturates the product-form bound before the duality
-    # bound on strongly mixed states, so the audit must report disagreement
+def test_verify_agrees_on_saturation_at_a_coarse_eps_gap(capsys):
+    # every leg of the audit compares a gap on the duality scale with
+    # eps_gap, so even a coarse eps_gap saturates all three together
     code, out, _ = run(
         capsys, "verify", "--n", "40", "--seed", "0", "--tolerance", "eps_gap=0.3"
     )
-    assert code == 2
+    assert code == 0
     vals = csv_values(out)
-    assert vals["all_hold"] == "false"
-    assert int(vals["agreed"]) < 40
-    assert "# violation index=" in out
+    assert vals["all_hold"] == "true"
+    assert vals["agreed"] == "40"
+    assert "# violation index=" not in out
+
+
+def test_verify_near_pure_mixed_states_agree(capsys):
+    # row 15152 has 1 - |s|^2 = 2.1e-9: the duality and SR gaps lie above
+    # eps_gap, and so must the LP gap once it is on the duality scale
+    code, out, _ = run(capsys, "--seed", "2499591296", "verify", "--n", "20000")
+    assert code == 0
+    assert csv_values(out)["agreed"] == "20000"
 
 
 @pytest.mark.parametrize("seed", ["3316931508", "3291212083"])

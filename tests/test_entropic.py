@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mzduality import (
     LN2,
+    MAXIMALLY_MIXED,
     BlochObservable,
     BlochVector,
     ProbPair,
@@ -28,6 +29,7 @@ from mzduality import (
     entropy_of_observable,
     entropy_sum,
     find_q_star,
+    fringe_scan,
     lp_product_form,
     minimize_entropy_sum,
     predictability,
@@ -140,6 +142,12 @@ class TestRenyiEntropy:
         want = decimal_bias_entropy(0.1, 2000.0) + decimal_bias_entropy(0.2, 2000.0)
         assert abs(entropy_sum(0.1, 0.2, 2000.0) - want) <= 8e-15
         assert renyi_entropy(UNIFORM_PAIR, 1100.0) == pytest.approx(LN2, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.05, 1.5, 2000.0, math.inf])
+    def test_nan_bias_stays_nan(self, q):
+        # the float clamp keeps a NaN, as np.clip does on the array path
+        assert math.isnan(_bias_entropy(math.nan, q))
+        assert np.isnan(_bias_entropy(np.array([math.nan]), q)).all()
 
     def test_rejects_bad_index(self):
         for q in (0.0, -1.0, math.nan):
@@ -497,8 +505,35 @@ class TestSampling:
 
     @pytest.mark.parametrize("sampler", [random_pure_bloch, random_mixed_bloch])
     def test_negative_requests_are_rejected(self, sampler):
-        with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match=r"^n must be at least 0, got -1$"):
             sampler(-1, 1)
+
+
+COUNTS = [  # each public count argument, its low bound and a call with it
+    ("n_phases", 8, lambda n: fringe_scan(MAXIMALLY_MIXED, n)),
+    ("n_states", 10_000, lambda n: brute_force_min(1.7, n, False)),
+    ("n", 32, lambda n: contour_grid(1.5, n)),
+    ("n_samples", 12, lambda n: constrained_min_over_region(1.7, lambda bv: True, n)),
+    ("n", 0, lambda n: random_pure_bloch(n, 1)),
+    ("n", 0, lambda n: random_mixed_bloch(n, 1)),
+]
+COUNT_IDS = ["fringe_scan", "brute_force_min", "contour_grid", "region", "pure", "mixed"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 40.5, 1e5, True, "40"], ids=repr)
+@pytest.mark.parametrize(("name", "low", "call"), COUNTS, ids=COUNT_IDS)
+def test_counts_must_be_integers(name, low, call, bad):
+    # range, np.empty or < raised a TypeError that named no argument, and a
+    # bool passed as 0 or 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize(("name", "low", "call"), COUNTS, ids=COUNT_IDS)
+def test_counts_take_numpy_integers(name, low, call):
+    call(np.int64(low))
+    with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {low - 1}$"):
+        call(np.int64(low - 1))
 
 
 class TestMemoryBound:

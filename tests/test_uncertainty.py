@@ -294,7 +294,7 @@ class TestPvAudit:
     @pytest.mark.parametrize("p", [0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7, 3e-7])
     def test_pure_states_near_the_equator_agree(self, p):
         # at P ~ 1e-8 the last-ulp norm error of a stored pure state turns
-        # into an LP gap above eps_gap; the audit's rounding bound absorbs it
+        # into an LP gap above eps_gap; on the duality scale it stays an ulp
         rng = np.random.default_rng(31)
         a = rng.uniform(0.0, TWO_PI, 5000)
         r = math.sqrt(1.0 - p * p)
@@ -361,8 +361,8 @@ class TestPvAudit:
         assert empty.all_hold.shape == (0,)
 
     def test_slightly_mixed_states_stay_unsaturated(self):
-        # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, and the
-        # rounding bound must not pull any relation into saturation
+        # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, so no
+        # relation may saturate, however small the LP gap's own scale
         rows = np.vstack([
             random_pure_bloch(5000, 41),
             [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, 0.0, 0.8]],
@@ -372,3 +372,13 @@ class TestPvAudit:
         assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
         for verdict in (audit.duality, audit.sr, audit.lp):
             assert not verdict.saturated.any()
+
+    @pytest.mark.parametrize("k", [0.3, 0.5, 0.8, 1.2, 1.5, 2.0, 2.5, 2.8, 3.5])
+    def test_near_pure_mixed_states_agree(self, k):
+        # 1 - |s|^2 = k eps_gap; the LP gap alone is the duality gap over a
+        # scale up to 2 sqrt 2, so judged on its own scale it saturated up to
+        # k ~ 2.8. Within about 1e-7 of k = 1 the three gaps round apart.
+        rows = random_pure_bloch(10_000, 47) * math.sqrt(1.0 - k * 1e-9)
+        audit = pv_audit(*_pv(rows))
+        assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
+        assert (audit.duality.saturated == (k < 1.0)).all()
