@@ -52,7 +52,6 @@ from .uncertainty import EPS_GAP, _pv_audit, equivalence_audit
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Iterator, Sequence
-    from pathlib import Path
 
 TOLERANCE_DEFAULTS = {
     "eps_pos": EPS_POS,
@@ -73,7 +72,7 @@ class RunConfig(_Record):
 
     seed: int
     output_format: str
-    output_path: Path | None
+    output_path: str | None
     tolerances: dict[str, float]
 
     __setattr__ = object.__setattr__
@@ -84,19 +83,13 @@ class RunConfig(_Record):
         self,
         seed: int = 0,
         output_format: str = "csv",
-        output_path: Path | None = None,
+        output_path: str | None = None,
         tolerances: dict[str, float] | None = None,
     ) -> None:
         self.seed = seed
         self.output_format = output_format
         self.output_path = output_path
         self.tolerances = dict(TOLERANCE_DEFAULTS) if tolerances is None else tolerances
-
-
-def _path(text: str) -> Path:
-    from pathlib import Path  # only when --out is given
-
-    return Path(text)
 
 
 def _fmt(x: float) -> str:
@@ -460,13 +453,13 @@ def cmd_contour(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
 
 
 # The option table. Each option maps to (convert, default, metavar, help).
-# convert is int, float, str or _path; a tuple of the allowed values; list for
+# convert is int, float or str; a tuple of the allowed values; list for
 # a repeatable option whose values accumulate in argv order; or None for a
 # flag that prints and exits. A default of ... marks a required option.
 _COMMON = {  # valid before and after the command
     "--seed": (int, 0, "SEED", "RNG seed for sampled states"),
     "--format": (("csv", "json"), "csv", "{csv,json}", "output format"),
-    "--out": (_path, None, "OUT", "write output to this path instead of stdout"),
+    "--out": (str, None, "OUT", "write output to this path instead of stdout"),
     "--tolerance": (
         list, [], "NAME=VALUE", "override a named tolerance (repeatable): " + _TOLERANCE_NAMES
     ),

@@ -45,8 +45,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 LN2 = math.log(2.0)
-SHANNON_WINDOW = 1e-7  # |q - 1| below this evaluates the Shannon limit
-EXPM1_BAND = 0.1  # |q - 1| below this (outside the window) takes the expm1/log1p form
+EXPM1_BAND = 0.1  # 0 < |q - 1| below this takes the expm1/log1p form
 BAND_EPS = 1e-6  # half-width of the regime-II band around q*
 Q_STAR_BRACKET = (1.01, 2.0)
 MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
@@ -85,7 +84,7 @@ def _entropy(p, m, q):
     xp = _xp(p)
     if q == math.inf:
         h = -xp.log(p)
-    elif abs(q - 1.0) < SHANNON_WINDOW:
+    elif q == 1.0:
         h = -(p * xp.log(p))  # p >= 1/2, always positive
         h -= m * xp.log(xp.where(m > 0.0, m, 1.0))  # a zero m adds 0 * ln 1 = 0
     elif abs(q - 1.0) < EXPM1_BAND:
@@ -140,14 +139,13 @@ def _state_entropy_sum(x, y, z, q):
 def renyi_entropy(probs: ProbPair, q: float) -> float:
     """Renyi entropy H_q = ln(p+^q + p-^q)/(1-q) of a two-outcome distribution.
 
-    q = 1 (within a 1e-7 window) evaluates the Shannon limit -sum p ln p
-    with the 0 ln 0 = 0 convention; elsewhere within 0.1 of 1 the same
-    value is computed as -log1p(sum p expm1((q-1) ln p))/(q-1), which keeps
-    full precision as q approaches 1. For q ln 2 > 700, where p^q may
-    underflow, the value is (q ln p + log1p((m/p)^q))/(1-q), p the larger
-    and m the smaller probability. q = math.inf gives the min-entropy
-    -ln(max p). Rejects q <= 0. Values lie in [0, ln 2], monotonically
-    nonincreasing in q.
+    q = 1 evaluates the Shannon limit -sum p ln p with the 0 ln 0 = 0
+    convention; every other q within 0.1 of 1 is computed as
+    -log1p(sum p expm1((q-1) ln p))/(q-1), which keeps full precision as q
+    approaches 1. For q ln 2 > 700, where p^q may underflow, the value is
+    (q ln p + log1p((m/p)^q))/(1-q), p the larger and m the smaller
+    probability. q = math.inf gives the min-entropy -ln(max p). Rejects
+    q <= 0. Values lie in [0, ln 2], monotonically nonincreasing in q.
     """
     _check_q(q)
     return _entropy(probs.max_prob, min(probs.as_tuple()), q)
@@ -355,7 +353,7 @@ class ContourGrid(_Record):
 def _check_grid(q: float, n: int) -> None:
     _check_q(q)
     if q == math.inf:
-        raise ValueError("contour grids require a finite Renyi index")
+        raise ValueError(f"contour grids require a finite Renyi index q, got {q!r}")
     _check_count("n", n, 32)
 
 
@@ -420,9 +418,8 @@ def constrained_min_over_region(
     predicate rejects every candidate.
 
     The candidates are made and ranked in blocks of ``_REGION_BLOCK`` rows
-    (ball blocks: the rows kept from ``2 * _REGION_BLOCK`` draws), so memory
-    is O(_REGION_BLOCK) at any n_samples, apart from the few rows that tie
-    within 1e-12 of the minimum.
+    (ball blocks: the rows kept from ``2 * _REGION_BLOCK`` draws) in one
+    pass, so memory is O(_REGION_BLOCK) at any n_samples.
     """
     _check_q_minimization(q)
     _check_count("n_samples", n_samples, 12)
@@ -445,12 +442,10 @@ def constrained_min_over_region(
 
     # The checked rows hold the bits of the BlochVectors the predicate saw.
     # Arrays rank the accepted ones; numpy may differ from math in the last
-    # bits, so the states within 1e-12 of the running array minimum are kept,
-    # and at the end their float values decide among those within 1e-12 of
-    # the final minimum, first strict minimum kept.
+    # bits, so each row within 1e-12 of the running array minimum is settled
+    # by its float value as its block is ranked, first strict minimum kept.
     n_accepted = 0
-    low = math.inf
-    near = []  # (array value, accepted BlochVector), in candidate order
+    low = best_val = math.inf
     for block in blocks:
         states = map(BlochVector, *block.T.tolist())
         accepted = [(i, bv) for i, bv in enumerate(states) if region(bv)]
@@ -460,19 +455,13 @@ def constrained_min_over_region(
         s = _checked_rows(block[[i for i, _ in accepted]])
         vals = _state_entropy_sum(*s.T, q)
         low = min(low, float(vals.min()))
-        near = [kept for kept in near if kept[0] <= low + 1e-12]
-        near += [
-            (float(vals[k]), accepted[k][1]) for k in np.flatnonzero(vals <= low + 1e-12).tolist()
-        ]
+        for k in np.flatnonzero(vals <= low + 1e-12).tolist():
+            bv = accepted[k][1]
+            val = _state_entropy_sum(bv.sx, bv.sy, bv.sz, q)
+            if val < best_val:
+                best_val, best = val, bv
     if not n_accepted:
         raise ValueError("region predicate rejected every sampled state")
-
-    best_val = math.inf
-    for _, bv in near:
-        val = _state_entropy_sum(bv.sx, bv.sy, bv.sz, q)
-        if val < best_val:
-            best_val = val
-            best = bv
     return RegionMinimum(min_value=best_val, argmin=best, n_accepted=n_accepted)
 
 

@@ -176,7 +176,9 @@ class BlochVector(_Record):
 
     Norms in (1, 1 + eps_pos] are renormalized to exactly 1 to absorb
     round-off from rotation compositions; anything larger is rejected
-    because it does not describe a positive density operator.
+    because it does not describe a positive density operator. eps_pos is
+    read, and refused by name if NaN, negative or infinite, only for a norm
+    above 1.
     """
 
     sx: float
@@ -186,12 +188,13 @@ class BlochVector(_Record):
     def __init__(self, sx: float, sy: float, sz: float, eps_pos: float = EPS_POS) -> None:
         sx, sy, sz = float(sx), float(sy), float(sz)
         n = math.sqrt(sx * sx + sy * sy + sz * sz)
-        if not n <= 1.0 + eps_pos:  # also rejects NaN components
-            raise ValueError(
-                f"Bloch norm exceeds 1: ||s|| = {n!r} violates the positivity "
-                "invariant ||s|| <= 1"
-            )
-        if n > 1.0:
+        if not n <= 1.0:  # NaN components too
+            _check_nonnegative("eps_pos", eps_pos)
+            if not n <= 1.0 + eps_pos:
+                raise ValueError(
+                    f"Bloch norm exceeds 1: ||s|| = {n!r} violates the positivity "
+                    "invariant ||s|| <= 1"
+                )
             sx, sy, sz = sx / n, sy / n, sz / n
         fields = self.__dict__
         fields["sx"] = sx
@@ -316,8 +319,8 @@ MAXIMALLY_MIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
 class BlochObservable(_Record):
     """Sharp two-level observable alpha1*I + alpha2*(axis . sigma).
 
-    The axis must be a unit vector (within eps_unit); it is stored exactly
-    normalized. Eigenvalues are alpha1 +/- alpha2, so alpha2 = 0 would be a
+    The axis must be a nonzero unit vector (within eps_unit, which must be
+    finite and nonnegative); it is stored exactly normalized. Eigenvalues are alpha1 +/- alpha2, so alpha2 = 0 would be a
     multiple of the identity and is rejected.
     """
 
@@ -331,9 +334,10 @@ class BlochObservable(_Record):
             raise ValueError(f"alpha1, alpha2 must be finite, got {alpha1!r}, {alpha2!r}")
         if alpha2 == 0.0:
             raise ValueError("alpha2 must be nonzero (observable would be trivial)")
+        _check_nonnegative("eps_unit", eps_unit)
         ax, ay, az = map(float, axis)
         n = math.sqrt(ax * ax + ay * ay + az * az)
-        if not abs(n - 1.0) <= eps_unit:  # also rejects NaN components
+        if n == 0.0 or not abs(n - 1.0) <= eps_unit:  # also rejects NaN components
             raise ValueError(f"axis must be a unit vector: ||a|| = {n!r}")
         fields = self.__dict__
         fields["alpha1"] = alpha1

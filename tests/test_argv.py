@@ -48,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser, *, suppress: bool, tolerances: 
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--seed", type=int, default=(d if suppress else 0))
     parser.add_argument("--format", choices=("csv", "json"), default=(d if suppress else "csv"))
-    parser.add_argument("--out", type=Path, default=(d if suppress else None))
+    parser.add_argument("--out", type=str, default=(d if suppress else None))
     parser.add_argument("--tolerance", action=_Accumulate, default=tolerances)
 
 
@@ -367,7 +367,7 @@ def test_tolerances_from_both_sides_of_the_command_accumulate(capsys):
         (["--seed", "2"], ["--se=3"], "seed", 3),
         (["--format", "json"], ["--format", "csv"], "output_format", "csv"),
         (["--format=csv"], ["--f", "json"], "output_format", "json"),
-        (["--out", "a"], ["--out", "b"], "output_path", Path("b")),
+        (["--out", "a"], ["--out", "b"], "output_path", "b"),
     ],
 )
 def test_root_options_given_on_both_sides_keep_the_last(before, after, field, want):

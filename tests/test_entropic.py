@@ -79,6 +79,18 @@ def decimal_bias_entropy(x: float, q: float) -> float:
         return float(total / (1 - qd))
 
 
+NEAR_ONE_BIASES = [0.0, 1e-3, 0.1, 0.5, 2.0**-0.5, 0.9, 0.999, 0.999999, 1.0]
+
+
+def assert_matches_decimal(xs: list[float], q: float) -> None:
+    """Float and array paths within 4e-15 of 60-digit decimal at each bias."""
+    vec = _bias_entropy(np.array(xs), q)
+    for x, h_vec in zip(xs, vec):
+        want = decimal_bias_entropy(x, q)
+        assert abs(_bias_entropy(x, q) - want) <= 4e-15
+        assert abs(h_vec - want) <= 4e-15
+
+
 UNBIASED_PAIR = ProbPair((1.0 + INV_SQRT2) / 2.0, (1.0 - INV_SQRT2) / 2.0)
 UNIFORM_PAIR = ProbPair(0.5, 0.5)
 PEAKED_PAIR = ProbPair(1.0, 0.0)
@@ -104,39 +116,32 @@ class TestRenyiEntropy:
         pp = ProbPair(0.7, 0.3)
         assert renyi_entropy(pp, math.inf) == pytest.approx(-math.log(0.7), abs=1e-15)
 
-    def test_shannon_window_substitutes_the_limit(self):
-        h1 = renyi_entropy(UNBIASED_PAIR, 1.0)
-        assert renyi_entropy(UNBIASED_PAIR, 1.0 + 5e-8) == h1
-        assert renyi_entropy(UNBIASED_PAIR, 1.0 - 5e-8) == h1
+    def test_shannon_limit_only_at_one(self):
+        p, m = UNBIASED_PAIR.as_tuple()
+        assert renyi_entropy(UNBIASED_PAIR, 1.0) == -(p * math.log(p)) - m * math.log(m)
+        # next to 1 the expm1/log1p form, not the limit: the limit is off by
+        # about 1.9e-8 at 1 -/+ 5e-8
+        assert_matches_decimal(NEAR_ONE_BIASES, 1.0 + 5e-8)
+        assert_matches_decimal(NEAR_ONE_BIASES, 1.0 - 5e-8)
 
     def test_continuity_across_the_window(self):
         h1 = renyi_entropy(UNBIASED_PAIR, 1.0)
         assert abs(renyi_entropy(UNBIASED_PAIR, 1.0 + 1e-6) - h1) < 1e-5
         assert abs(renyi_entropy(UNBIASED_PAIR, 1.0 - 1e-6) - h1) < 1e-5
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 16))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_accurate_next_to_shannon_window(self, k, sign):
         # ln(sum p^q) / (1-q) is off by about 2.4e-16 / |1-q| here: 2.4e-10
-        # at k = 6; 4e-15 also covers q = 1.1, which lies just outside the band
-        q = 1.0 + sign * 10.0**-k
-        xs = [0.0, 1e-3, 0.1, 0.5, INV_SQRT2, 0.9, 0.999, 0.999999, 1.0]
-        vec = _bias_entropy(np.array(xs), q)
-        for x, h_vec in zip(xs, vec):
-            want = decimal_bias_entropy(x, q)
-            assert abs(_bias_entropy(x, q) - want) <= 4e-15
-            assert abs(h_vec - want) <= 4e-15
+        # at k = 6, and the Shannon limit by up to about 0.4 |1-q|; 4e-15
+        # also covers q = 1.1, which lies just outside the band
+        assert_matches_decimal(NEAR_ONE_BIASES, 1.0 + sign * 10.0**-k)
 
     @pytest.mark.parametrize("q", [50.0, 500.0, 1100.0, 2000.0, 1e5, 1e300])
     def test_accurate_at_large_index(self, q):
         # p^q + m^q underflows to 0 once q ln p < -745 (p >= 1/2, so only for
         # q ln 2 > 700); the n = 32 contour axis reaches that from q = 1100
-        xs = np.linspace(0.0, 1.0, 32)
-        vec = _bias_entropy(xs, q)
-        for x, h_vec in zip(xs.tolist(), vec):
-            want = decimal_bias_entropy(x, q)
-            assert abs(_bias_entropy(x, q) - want) <= 4e-15
-            assert abs(h_vec - want) <= 4e-15
+        assert_matches_decimal(np.linspace(0.0, 1.0, 32).tolist(), q)
 
     def test_large_index_on_probability_pairs(self):
         want = decimal_bias_entropy(0.1, 2000.0) + decimal_bias_entropy(0.2, 2000.0)
@@ -621,7 +626,7 @@ def reference_bias_entropy_vec(x, q):
     m = (1.0 - x) / 2.0
     if q == math.inf:
         h = -np.log(np.maximum(p, m))
-    elif abs(q - 1.0) < 1e-7:
+    elif q == 1.0:
         h = -(p * np.log(p))
         h = h - np.where(m > 0.0, m * np.log(np.where(m > 0.0, m, 1.0)), 0.0)
     else:
@@ -698,7 +703,7 @@ class TestArrayPathsKeepBits:
             assert same_bits(np.concatenate([np.empty((0, 3)), *mixed]), want_mixed)
 
     @pytest.mark.parametrize(
-        "q", [0.05, 0.3, 0.5, 0.85, 1.0, 1.0 + 5e-8, 1.1, 1.2, Q_STAR, 1.5, 2.0, 3.0, 7.5, math.inf]
+        "q", [0.05, 0.3, 0.5, 0.85, 1.0, 1.1, 1.2, Q_STAR, 1.5, 2.0, 3.0, 7.5, math.inf]
     )
     def test_array_evaluator_outside_the_expm1_band(self, q):
         rng = np.random.default_rng(9)

@@ -55,6 +55,18 @@ class TestBlochVector:
         v = BlochVector(0.0, 0.0, 1.001, eps_pos=1e-2)
         assert v.norm == 1.0
 
+    @pytest.mark.parametrize("eps_pos", [math.nan, -1.0, -1e-12, math.inf])
+    def test_bad_eps_pos_refused_by_name_where_it_is_read(self, eps_pos):
+        # unchecked, an infinite eps_pos lets any norm through as 1, and a NaN
+        # or negative one calls a norm of 0.5 too large
+        for make in (BlochVector, QubitState.from_bloch):
+            with pytest.raises(ValueError, match="eps_pos must be finite and nonnegative"):
+                make(2.0, 0.0, 0.0, eps_pos=eps_pos)
+            with pytest.raises(ValueError, match="eps_pos"):
+                make(0.0, 0.0, 1.0 + 5e-10, eps_pos=eps_pos)
+        # a norm within 1 never reads eps_pos, so the hot path pays nothing
+        assert BlochVector(0.0, 0.0, 0.5, eps_pos=eps_pos).as_tuple() == (0.0, 0.0, 0.5)
+
     def test_matches_the_field_by_field_rule(self):
         # BlochVector's norm rule written out on plain floats
         def reference(sx, sy, sz, eps_pos=1e-9):
@@ -167,6 +179,20 @@ class TestBlochObservable:
     def test_rejects_non_finite_coefficients(self, a1, a2):
         with pytest.raises(ValueError, match="finite"):
             BlochObservable(a1, a2, (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("eps_unit", [math.nan, -1.0, math.inf])
+    def test_bad_eps_unit_refused_by_name(self, eps_unit):
+        # unchecked, an infinite eps_unit divides a zero axis by its zero
+        # norm, and a NaN or negative one calls a unit axis not unit
+        for axis in ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="eps_unit must be finite and nonnegative"):
+                BlochObservable(0.0, 1.0, axis, eps_unit=eps_unit)
+
+    @pytest.mark.parametrize("eps_unit", [1.0, 2.0, 1e300])
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (5e-324, 0.0, 0.0)])
+    def test_zero_axis_refused_at_any_tolerance(self, axis, eps_unit):
+        with pytest.raises(ValueError, match=r"axis must be a unit vector: \|\|a\|\| = 0.0"):
+            BlochObservable(0.0, 1.0, axis, eps_unit=eps_unit)
 
     def test_axis_normalized_within_tolerance(self):
         obs = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0 + 1e-13))
