@@ -77,63 +77,39 @@ def _check_q_minimization(q: float) -> None:
 def _entropy(p, m, q):
     """H_q of a normalized pair {p, m}, p >= m, for q > 0 or q = inf.
 
-    Floats go through math (see ``_xp``); arrays go through numpy,
-    elementwise, and may be overwritten. The in-place steps round exactly
-    like the expressions they stand for.
+    Floats go through math (see ``_xp``); arrays go through numpy, elementwise.
     """
     xp = _xp(p)
     if q == math.inf:
         h = -xp.log(p)
     elif q == 1.0:
-        h = -(p * xp.log(p))  # p >= 1/2, always positive
-        h -= m * xp.log(xp.where(m > 0.0, m, 1.0))  # a zero m adds 0 * ln 1 = 0
+        # p >= 1/2, always positive; a zero m adds 0 * ln 1 = 0
+        h = -(p * xp.log(p)) - m * xp.log(xp.where(m > 0.0, m, 1.0))
     elif abs(q - 1.0) < EXPM1_BAND:
         # sum p^q = 1 + sum p expm1((q-1) ln p), whose terms share one sign;
         # ln(sum p^q) / (1-q) would lose about 2.4e-16 / |1-q| to cancellation
         d = q - 1.0
-        h = xp.log(p)
-        h *= d
-        h = xp.expm1(h, out=h)
-        h *= p
-        t = xp.log(xp.where(m > 0.0, m, 1.0))  # a zero m adds m * expm1(0) = 0
-        t *= d
-        t = xp.expm1(t, out=t)
-        t *= m
-        h += t
-        h = xp.log1p(h, out=h)
-        h /= -d
+        t = m * xp.expm1(xp.log(xp.where(m > 0.0, m, 1.0)) * d)  # a zero m adds 0
+        h = xp.log1p(p * xp.expm1(xp.log(p) * d) + t) / -d
     elif q * LN2 > 700.0:
         # p >= 1/2, so p^q + m^q can underflow only here: ln p^q + log1p((m/p)^q)
-        h = q * xp.log(p)
-        h += xp.log1p((m / p) ** q)
-        h /= 1.0 - q
+        h = (q * xp.log(p) + xp.log1p((m / p) ** q)) / (1.0 - q)
     else:
-        p **= q
-        m **= q
-        p += m
-        h = xp.log(p, out=p)
-        h /= 1.0 - q
+        h = xp.log(p ** q + m ** q) / (1.0 - q)
     # mathematically h lies in [0, ln 2]; clamp round-off (and kill -0.0)
-    h = xp.clip(h, 0.0, LN2, out=h)
-    h += 0.0
-    return h
+    return xp.clip(h, 0.0, LN2) + 0.0
 
 
 def _bias_entropy(x, q):
     """Entropy of the pair {(1+x)/2, (1-x)/2} for biases x in [0, 1], a float or an array."""
-    p = 1.0 + x
-    p *= 0.5  # the bits of p / 2 for every double, subnormals included
-    m = 1.0 - x
-    m *= 0.5
-    return _entropy(p, m, q)
+    # * 0.5 has the bits of / 2 for every double, subnormals included
+    return _entropy((1.0 + x) * 0.5, (1.0 - x) * 0.5, q)
 
 
 def _state_entropy_sum(x, y, z, q):
     """H_q(|z|) + H_q(hypot(x, y)) of Bloch components: floats, or arrays elementwise."""
     xp = _xp(z)
-    h = _bias_entropy(xp.abs(z), q)
-    h += _bias_entropy(xp.hypot(x, y), q)
-    return h
+    return _bias_entropy(xp.abs(z), q) + _bias_entropy(xp.hypot(x, y), q)
 
 
 def renyi_entropy(probs: ProbPair, q: float) -> float:

@@ -27,17 +27,17 @@ class _Floats:
     """The numpy functions the float-or-array kernels call, done by math so floats keep math's bits.
 
     ``maximum`` returns b on ties and NaN if either is NaN, as ``np.maximum``
-    does, so ``maximum(-0.0, 0.0)`` is 0.0; ``out`` is ignored.
+    does, so ``maximum(-0.0, 0.0)`` is 0.0.
     """
 
     sqrt = staticmethod(math.sqrt)
     abs = staticmethod(abs)
     hypot = staticmethod(math.hypot)
     maximum = staticmethod(lambda a, b: a if a > b or a != a else b)
-    log = staticmethod(lambda x, out=None: math.log(x))
-    expm1 = staticmethod(lambda x, out=None: math.expm1(x))
-    log1p = staticmethod(lambda x, out=None: math.log1p(x))
-    clip = staticmethod(lambda x, lo, hi, out=None: min(max(x, lo), hi))
+    log = staticmethod(math.log)
+    expm1 = staticmethod(math.expm1)
+    log1p = staticmethod(math.log1p)
+    clip = staticmethod(lambda x, lo, hi: min(max(x, lo), hi))
     where = staticmethod(lambda cond, a, b: a if cond else b)
 
 

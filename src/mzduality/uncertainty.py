@@ -260,13 +260,20 @@ def pv_audit(
     arrays give array fields, rhs stays a constant. The LP gap equals
     (1 - P^2 - V^2)/scale, scale = (S + PV)(sqrt 2 + 2 lhs), S = sqrt((1 -
     P^2)(1 - V^2)), so the LP leg judges gap * scale, the duality gap, with
-    eps_gap, as the other two legs do. The three gaps round apart only
-    within about 1e-7 (relative) of 1 - P^2 - V^2 = eps_gap.
-    Floats are evaluated by math and give plain floats and bools (see ``_xp``).
+    eps_gap, as the other two legs do. A leg's verdicts differ from those of
+    the exact gap only where 1 - P^2 - V^2 lies within 4 ulp(1) of +-eps_gap.
+    Floats are evaluated by math and give plain floats and bools (see ``_xp``);
+    arrays give each element the float verdicts, overflow to inf included.
     A NaN, negative or infinite P or V is refused by name; one above 1 is not.
     """
     _check_bias("P", p)
     _check_bias("V", v)
+    if hasattr(p, "dtype") or hasattr(v, "dtype"):  # numpy is loaded already
+        import numpy as np
+
+        # a huge bias overflows to inf and inf - inf gives NaN, as floats do silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _pv_audit(p, v, eps_gap)
     return _pv_audit(p, v, eps_gap)
 
 

@@ -174,3 +174,34 @@ def test_sweep_covers_every_exported_float_parameter():
             owner = observable if f is BlochObservable else f
             for param in float_parameters(f):
                 assert (owner, param) in swept, (name, param)
+
+
+BIASES = [x for x in EDGES if 0.0 <= x < math.inf]  # what pv_audit accepts, 1e300 included
+
+
+def audit_fields(audit, i=None):
+    """Every field of a pv_audit result as hex strings and bools, element i of an array audit."""
+    out = []
+    for verdict in (audit.duality, audit.sr, audit.lp):
+        for name in ("lhs", "rhs", "gap", "holds", "saturated"):
+            x = getattr(verdict, name)
+            x = x[i] if i is not None and np.ndim(x) else x
+            out.append(bool(x) if name in ("holds", "saturated") else float(x).hex())
+    return out
+
+
+def test_pv_audit_arrays_give_the_float_verdicts():
+    # a bias of 1e300 overflows its square to inf on both paths, and inf - inf
+    # gives NaN gaps; the array path must do that silently, as floats do
+    pairs = [(p, v) for p in BIASES for v in BIASES]
+    want = [audit_fields(pv_audit(p, v)) for p, v in pairs]
+    for (p, v), w in zip(pairs, want):
+        assert audit_fields(pv_audit(np.array([p]), np.array([v])), 0) == w, (p, v)
+    p, v = np.array(pairs).T
+    mixed = pv_audit(p, v)
+    assert [audit_fields(mixed, i) for i in range(len(pairs))] == want
+    for x in BIASES:
+        column = pv_audit(np.array(BIASES), x)
+        assert [audit_fields(column, i) for i in range(len(BIASES))] == [
+            audit_fields(pv_audit(b, x)) for b in BIASES
+        ]

@@ -634,6 +634,33 @@ def reference_bias_entropy_vec(x, q):
     return np.clip(h, 0.0, LN2) + 0.0
 
 
+class FloatOps:
+    """What ``reference_branch_entropy`` calls on a float, written with math and builtins."""
+
+    log, expm1, log1p = math.log, math.expm1, math.log1p
+    where = staticmethod(lambda cond, a, b: a if cond else b)
+    clip = staticmethod(lambda h, lo, hi: min(max(h, lo), hi))
+
+
+def reference_branch_entropy(x, q, ops):
+    """H_q of the bias x in the expm1 band or above q ln 2 = 700, one rounding per step.
+
+    ``ops`` is numpy for an array or ``FloatOps`` for a float. The products
+    keep the order of the evaluator's former in-place steps, ``expm1(...) * p``,
+    which rounds as ``p * expm1(...)`` does.
+    """
+    p = (1.0 + x) * 0.5
+    m = (1.0 - x) * 0.5
+    if q * LN2 > 700.0:
+        h = (q * ops.log(p) + ops.log1p((m / p) ** q)) / (1.0 - q)
+    else:
+        assert 0.0 < abs(q - 1.0) < entropic.EXPM1_BAND
+        d = q - 1.0
+        lm = ops.log(ops.where(m > 0.0, m, 1.0))
+        h = ops.log1p(ops.expm1(ops.log(p) * d) * p + ops.expm1(lm * d) * m) / -d
+    return ops.clip(h, 0.0, LN2) + 0.0
+
+
 def reference_region_min(q, region, n_samples, seed):
     """One BlochVector and one scalar evaluation per numpy candidate row."""
     base = n_samples // 3
@@ -713,6 +740,21 @@ class TestArrayPathsKeepBits:
         before = x.copy()
         assert same_bits(_bias_entropy(x, q), reference_bias_entropy_vec(x, q))
         assert same_bits(x, before)
+
+    # the expm1 band (0 < |q - 1| < 0.1) and the underflow branch (q ln 2 > 700)
+    @pytest.mark.parametrize("q", [0.95, 1.0 - 1e-4, 1.0 + 5e-8, 1.05, 1.0999, 1011.0, 1e5])
+    def test_evaluator_in_the_expm1_band_and_above_700(self, q):
+        rng = np.random.default_rng(9)
+        x = np.concatenate(
+            [rng.uniform(0.0, 1.0, 10_000), [0.0, 5e-324, INV_SQRT2, 1.0 - 2.0**-53, 1.0]]
+        )
+        before = x.copy()
+        assert same_bits(_bias_entropy(x, q), reference_branch_entropy(x, q, np))
+        assert same_bits(x, before)
+        floats = [_bias_entropy(f, q) for f in x.tolist()]
+        assert all(type(h) is float for h in floats)
+        want = [reference_branch_entropy(f, q, FloatOps) for f in x.tolist()]
+        assert [h.hex() for h in floats] == [h.hex() for h in want]
 
     @pytest.mark.parametrize("region", sorted(REGIONS))
     @pytest.mark.parametrize("q", [0.3, 1.0 - 1e-4, 1.0, 1.0 + 1e-6, Q_STAR, 2.0])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -377,8 +378,50 @@ class TestPvAudit:
     def test_near_pure_mixed_states_agree(self, k):
         # 1 - |s|^2 = k eps_gap; the LP gap alone is the duality gap over a
         # scale up to 2 sqrt 2, so judged on its own scale it saturated up to
-        # k ~ 2.8. Within about 1e-7 of k = 1 the three gaps round apart.
+        # k ~ 2.8. Within 4 ulp(1) of eps_gap (k within about 9e-7 of 1) the
+        # three gaps round apart (TestExactVerdicts).
         rows = random_pure_bloch(10_000, 47) * math.sqrt(1.0 - k * 1e-9)
         audit = pv_audit(*_pv(rows))
         assert audit.all_hold.all() and audit.all_agree_on_saturation.all()
         assert (audit.duality.saturated == (k < 1.0)).all()
+
+
+# the widest split of a leg's verdict from the exact one seen in measurement
+# was 3.37 ulp(1) from +-eps_gap, over 13 seeds of 228 000 rows like these
+SPLIT_WINDOW = 4.0 * math.ulp(1.0)
+
+
+def near_threshold_pv(eps_gap: float, rng, n: int):
+    """n (P, V) per stratum whose gap 1 - P^2 - V^2 lies near 0, eps_gap or -eps_gap.
+
+    The strata are within 1e-13, 1e-15 and 4e-16 of each centre, up to the
+    rounding of P and V themselves; the exact gaps are computed afterwards.
+    """
+    p, v = [], []
+    for centre in (0.0, eps_gap, -eps_gap):
+        for width in (1e-13, 1e-15, 4e-16):
+            r = np.sqrt(1.0 - (centre + rng.uniform(-width, width, n)))
+            a = rng.uniform(0.0, math.pi / 2.0, n)
+            p.append(r * np.cos(a))
+            v.append(r * np.sin(a))
+    return np.concatenate(p), np.concatenate(v)
+
+
+class TestExactVerdicts:
+    @pytest.mark.parametrize("eps_gap", [1e-9, 1e-12, 1e-15])
+    def test_every_leg_gives_the_exact_verdict_outside_the_window(self, eps_gap):
+        # a float is a dyadic rational, so each row's duality gap is an exact
+        # Fraction; the SR gap and the LP gap times its scale equal it exactly
+        p, v = near_threshold_pv(eps_gap, np.random.default_rng(53), 1000)
+        for rows in (random_pure_bloch(4000, 59), random_mixed_bloch(4000, 61)):
+            p, v = np.concatenate([p, _pv(rows)[0]]), np.concatenate([v, _pv(rows)[1]])
+        eps = Fraction(eps_gap)
+        gaps = [1 - Fraction(a) ** 2 - Fraction(b) ** 2 for a, b in zip(p.tolist(), v.tolist())]
+        holds = np.array([g >= -eps for g in gaps])
+        saturated = np.array([abs(g) <= eps for g in gaps])
+        clear = np.array([min(abs(g - eps), abs(g + eps)) > SPLIT_WINDOW for g in gaps])
+        assert 0 < np.count_nonzero(~clear) < len(gaps)  # the strata reach into the window
+        audit = pv_audit(p, v, eps_gap)
+        for leg in (audit.duality, audit.sr, audit.lp):
+            assert np.array_equal(leg.holds[clear], holds[clear])
+            assert np.array_equal(leg.saturated[clear], saturated[clear])
