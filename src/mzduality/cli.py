@@ -15,9 +15,11 @@ features). The JSON text is exactly ``json.dumps(payload, indent=2)`` plus
 a newline. Every table float is spelled by "%": "%.17g" in CSV and "%r" in
 JSON, which is json's spelling of a finite float, the only kind a table
 holds. The mz and qscan tables are formatted and written in blocks of
-rows, one "%" per block; contour writes one grid row at a time. Every
-command validates its options before it writes; qscan then computes its
-rows as they are written, the others compute everything first.
+rows, one "%" per block; contour writes one grid row at a time.
+Each command ``cmd_x(ns, cfg)`` validates its options and returns
+``(code, fields, csv)``: its exit code, its JSON fields after "meta", and
+its CSV chunks after the metadata lines. Only ``main`` writes: the metadata,
+then the body of the chosen format, whose rows are computed as it is written.
 Angles are radians; floats are printed with 17 significant digits. Exit
 codes: 0 success, 1 usage or validation error, or stdout closed by its
 reader (nothing more is written and stderr stays empty), 2 property
@@ -33,6 +35,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .entropic import (
+    _BLOCK,
     BAND_EPS,
     LN2,
     ContourGrid,
@@ -59,12 +62,10 @@ TOLERANCE_DEFAULTS = {
     "band_eps": BAND_EPS,
 }
 _TOLERANCE_NAMES = ", ".join(sorted(TOLERANCE_DEFAULTS))
+EPS_GAP_FLOOR = 1e-14  # least --tolerance eps_gap: pure-state gaps are noise of a few 1e-16
 
 MAX_SEED = 2**64 - 1
 _ROW_BLOCK = 1024  # table rows per written chunk, formatted with one "%"
-# verify's pure rows per block; its ball draws take twice as many rows. A
-# block's rows and audit arrays come to about 2 MB, which fit a 2 MiB L2 cache
-_VERIFY_BLOCK = 8192
 
 
 class RunConfig(_Record):
@@ -243,7 +244,7 @@ def _state_from_args(ns: SimpleNamespace, cfg: RunConfig) -> QubitState:
     return QubitState.from_weights(w, r, theta)
 
 
-def cmd_state(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_state(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     state = _state_from_args(ns, cfg)
     audit = equivalence_audit(state, cfg.tolerances["eps_gap"])
     scalars: list[tuple[str, str]] = [
@@ -271,58 +272,42 @@ def cmd_state(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
         ("lp_saturated", _fmt_bool(audit.lp.saturated)),
         ("all_agree_on_saturation", _fmt_bool(audit.all_agree_on_saturation)),
     ]
-    if cfg.output_format == "json":
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "state": state.to_dict(),
-            "report": {k: v for k, v in scalars},
-        }
-        _write(cfg, _json_chunks(payload))
-    else:
-        lines = _meta_lines(cfg, argv) + ["quantity,value"]
-        lines += [f"{k},{v}" for k, v in scalars]
-        _write(cfg, [_lines(lines)])
-    return 0
+    fields = {"state": state.to_dict(), "report": dict(scalars)}
+    return 0, fields, [_lines(["quantity,value", *(f"{k},{v}" for k, v in scalars)])]
 
 
-def cmd_mz(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_mz(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     inside = apply_beam_splitter(_state_from_args(ns, cfg))
     scan = fringe_scan(inside, ns.phases)
     v_analytic = visibility(inside)
-    if cfg.output_format == "json":
-        row = '{\n      "phi": %r,\n      "p_d1": %r,\n      "p_d2": %r\n    }'
-        rows = zip(scan.phases, scan.p_d1, scan.p_d2)
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "rows": _JsonArray(_table(row, _JSON_ITEM_SEP, rows)),
-            "p_max": scan.p_max,
-            "p_min": scan.p_min,
-            "v_operational": scan.v_operational,
-            "visibility_analytic": v_analytic,
-        }
-        _write(cfg, _json_chunks(payload))
-    else:
-        head = _lines(_meta_lines(cfg, argv) + ["phi,p_d1,p_d2"])
-        rows = _table("%.17g,%.17g,%.17g\n", "", zip(scan.phases, scan.p_d1, scan.p_d2))
-        tail = _lines([
-            f"# p_max: {_fmt(scan.p_max)}",
-            f"# p_min: {_fmt(scan.p_min)}",
-            f"# v_operational: {_fmt(scan.v_operational)}",
-            f"# visibility_analytic: {_fmt(v_analytic)}",
-        ])
-        _write(cfg, chain([head], rows, [tail]))
-    return 0
+    rows = zip(scan.phases, scan.p_d1, scan.p_d2)
+    row = '{\n      "phi": %r,\n      "p_d1": %r,\n      "p_d2": %r\n    }'
+    fields = {
+        "rows": _JsonArray(_table(row, _JSON_ITEM_SEP, rows)),
+        "p_max": scan.p_max,
+        "p_min": scan.p_min,
+        "v_operational": scan.v_operational,
+        "visibility_analytic": v_analytic,
+    }
+    tail = _lines([
+        f"# p_max: {_fmt(scan.p_max)}",
+        f"# p_min: {_fmt(scan.p_min)}",
+        f"# v_operational: {_fmt(scan.v_operational)}",
+        f"# visibility_analytic: {_fmt(v_analytic)}",
+    ])
+    csv = chain(["phi,p_d1,p_d2\n"], _table("%.17g,%.17g,%.17g\n", "", rows), [tail])
+    return 0, fields, csv
 
 
-def cmd_verify(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_verify(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     _check_count("--n", ns.n, 1)
     import numpy as np
 
     eps_pos, eps_gap = cfg.tolerances["eps_pos"], cfg.tolerances["eps_gap"]
     n_pure = ns.n // 2
     blocks = chain(
-        _pure_blocks(n_pure, cfg.seed, _VERIFY_BLOCK),
-        _mixed_blocks(ns.n - n_pure, cfg.seed + 1, 2 * _VERIFY_BLOCK),
+        _pure_blocks(n_pure, cfg.seed, _BLOCK),
+        _mixed_blocks(ns.n - n_pure, cfg.seed + 1, _BLOCK),
     )
     # each block is checked and audited on its own, and only its violations
     # are kept: the working set stays one block of arrays at any --n
@@ -344,28 +329,20 @@ def cmd_verify(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
         start += len(s)
     agreed = ns.n - len(violations)
     ok = not violations
-    if cfg.output_format == "json":
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "checked": ns.n,
-            "agreed": agreed,
-            "violations": [{"index": i, "detail": d} for i, d in violations],
-            "all_hold": ok,
-        }
-        _write(cfg, _json_chunks(payload))
-    else:
-        lines = _meta_lines(cfg, argv) + [
-            "quantity,value",
-            f"checked,{ns.n}",
-            f"agreed,{agreed}",
-            f"all_hold,{_fmt_bool(ok)}",
-        ]
-        lines += [f"# violation index={i} {d}" for i, d in violations]
-        _write(cfg, [_lines(lines)])
-    return 0 if ok else 2
+    # a detail holds no character that json escapes, so '"%s"' is its json.dumps
+    item = '{\n      "index": %d,\n      "detail": "%s"\n    }'
+    fields = {
+        "checked": ns.n,
+        "agreed": agreed,
+        "violations": _JsonArray(_table(item, _JSON_ITEM_SEP, violations)),
+        "all_hold": ok,
+    }
+    head = f"quantity,value\nchecked,{ns.n}\nagreed,{agreed}\nall_hold,{_fmt_bool(ok)}\n"
+    csv = chain([head], _table("# violation index=%d %s\n", "", violations))
+    return 0 if ok else 2, fields, csv
 
 
-def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     if not 0.0 < ns.qmin <= ns.qmax <= 2.0:
         raise ValueError(
             f"need 0 < qmin <= qmax <= 2 (pure-state reduction is concavity-"
@@ -378,78 +355,59 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
     qs = chain((ns.qmin + i * step for i in range(n)), [ns.qmax if n else ns.qmin])
     band = cfg.tolerances["band_eps"]
     rows = ((q, classify_regime(q, band), minimize_entropy_sum(q)) for q in qs)
-    if cfg.output_format == "json":
-        # a row is json.dumps(row, indent=2) as an item of the top-level "rows" array
-        row = (
-            '{\n      "q": %r,\n      "regime": "%s",\n      "min_value": %r,'
-            '\n      "minimizers": [\n        %s\n      ]\n    }'
-        )
-        pair, pairs_sep = "[\n          %r,\n          %r\n        ]", ",\n        "
-    else:
-        row, pair, pairs_sep = "%.17g,%s,%.17g,%s\n", "%.17g:%.17g", ";"
-    items = (
-        (q, regime, res.min_value, pairs_sep.join([pair % vp for vp in res.minimizers]))
-        for q, regime, res in rows
+    # a JSON row is json.dumps(row, indent=2) as an item of the top-level "rows" array
+    row = (
+        '{\n      "q": %r,\n      "regime": "%s",\n      "min_value": %r,'
+        '\n      "minimizers": [\n        %s\n      ]\n    }'
     )
-    if cfg.output_format == "json":
-        table = _JsonArray(_table(row, _JSON_ITEM_SEP, items))
-        _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), "rows": table}))
-    else:
-        head = _lines(_meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"])
-        _write(cfg, chain([head], _table(row, "", items)))
-    return 0
+    pair = "[\n          %r,\n          %r\n        ]"
+    fields = {"rows": _JsonArray(_table(row, _JSON_ITEM_SEP, (
+        (q, regime, res.min_value, ",\n        ".join([pair % vp for vp in res.minimizers]))
+        for q, regime, res in rows
+    )))}
+    csv = _table("%.17g,%s,%.17g,%s\n", "", (
+        (q, regime, res.min_value, ";".join(["%.17g:%.17g" % vp for vp in res.minimizers]))
+        for q, regime, res in rows
+    ))
+    return 0, fields, chain(["q,regime,min_value,minimizers\n"], csv)
 
 
-def cmd_qstar(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_qstar(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     q_star = find_q_star(ns.tol)
     inv = 1.0 / math.sqrt(2.0)
     residual = entropy_sum(inv, inv, q_star) - LN2
-    if cfg.output_format == "json":
-        payload = {"meta": _meta_dict(cfg, argv), "q_star": q_star, "residual": residual}
-        _write(cfg, _json_chunks(payload))
-    else:
-        lines = _meta_lines(cfg, argv) + [
-            "quantity,value",
-            f"q_star,{_fmt(q_star)}",
-            f"residual,{_fmt(residual)}",
-        ]
-        _write(cfg, [_lines(lines)])
-    return 0
+    lines = ["quantity,value", f"q_star,{_fmt(q_star)}", f"residual,{_fmt(residual)}"]
+    return 0, {"q_star": q_star, "residual": residual}, [_lines(lines)]
 
 
-def cmd_contour(ns: SimpleNamespace, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_contour(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     cells = _grid_cells(ns.q, ns.n)
     axis, h = _grid_entropies(ns.q, ns.n)
-    if cfg.output_format == "json":
-        inner = "\n      "
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "q": ns.q,
-            "n": ns.n,
-            "constraint": ContourGrid.constraint,
-            "axis": _JsonArray(_spelled("%r", axis)),
-            "values": _JsonArray(
-                "[" + inner + ("," + inner).join(row) + "\n    ]"
-                for row in _symmetric_rows(h, "%r", cells)
-            ),
-        }
-        _write(cfg, _json_chunks(payload))
-    else:
-        head = _lines(_meta_lines(cfg, argv) + [
-            f"# q: {_fmt(ns.q)}",
-            f"# n: {ns.n}",
-            f"# constraint: {ContourGrid.constraint}",
-            "v,p,value",
-        ])
-        # row i is "v_i,p_j,value_ij" over j; the numeric axis strings hold no "%"
-        axis = _spelled("%.17g", axis)
-        templates = [f",{p},%s\n" for p in axis]
-        rows = (
-            v + v.join(templates) % tuple(row)
-            for v, row in zip(axis, _symmetric_rows(h, "%.17g", cells))
-        )
-        _write(cfg, chain([head], rows))
-    return 0
+    inner = "\n      "
+    fields = {
+        "q": ns.q,
+        "n": ns.n,
+        "constraint": ContourGrid.constraint,
+        "axis": _JsonArray(_table("%r", _JSON_ITEM_SEP, zip(axis))),
+        "values": _JsonArray(
+            "[" + inner + ("," + inner).join(row) + "\n    ]"
+            for row in _symmetric_rows(h, "%r", cells)
+        ),
+    }
+    head = _lines([
+        f"# q: {_fmt(ns.q)}",
+        f"# n: {ns.n}",
+        f"# constraint: {ContourGrid.constraint}",
+        "v,p,value",
+    ])
+    # row i is "v_i,p_j,value_ij" over j; the numeric axis strings hold no "%"
+    spelled = _spelled("%.17g", axis)
+    templates = [f",{p},%s\n" for p in spelled]
+    rows = (
+        v + v.join(templates) % tuple(row)
+        for v, row in zip(spelled, _symmetric_rows(h, "%.17g", cells))
+    )
+    return 0, fields, chain([head], rows)
 
 
 # The option table. Each option maps to (convert, default, metavar, help).
@@ -511,25 +469,19 @@ def _help(command: str, table: dict[str, tuple]) -> str:
     return _lines(lines)
 
 
-def _show(text: str, cfg: None, argv: list[str]) -> int:
-    """Run -h/--help or --version: print their text."""
-    sys.stdout.write(text)
-    return 0
-
-
 def _check_choice(what: str, value: str, choices: Iterable[str]) -> None:
     if value not in choices:
         listed = ", ".join(map(repr, choices))
         raise ValueError(f"argument {what}: invalid choice: {value!r} (choose from {listed})")
 
 
-def _parse(argv: list[str]) -> tuple[Callable[..., int], object, RunConfig | None]:
-    """The function to run, its options and the run's config, from argv.
+def _parse(argv: list[str]) -> tuple[Callable[..., tuple] | None, object, RunConfig | None]:
+    """The command to run, its options and the run's config, from argv.
 
     An option is matched by its exact name, else by a unique prefix among
     the options valid at its position; it takes its value from "=VALUE" or
     else from the next token, unless that starts with "--". -h/--help and
-    --version return _show and the text to print. Usage errors raise
+    --version return None and the text to print. Usage errors raise
     ValueError.
     """
     command, table = "", _ROOT
@@ -555,7 +507,7 @@ def _parse(argv: list[str]) -> tuple[Callable[..., int], object, RunConfig | Non
             if eq:
                 raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
             text = _help(command, table) if name == "--help" else f"mzduality {__version__}\n"
-            return _show, text, None
+            return None, text, None
         if not eq:
             value = next(args, "--")
             if value.startswith("--"):
@@ -598,6 +550,10 @@ def _config(ns: dict[str, object]) -> RunConfig:
             raise ValueError(f"tolerance {name} needs a float value, got {value!r}") from None
         if not 0.0 < v < math.inf:  # also rejects NaN
             raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
+        if name == "eps_gap" and v < EPS_GAP_FLOOR:
+            raise ValueError(
+                f"tolerance {name} must be at least {EPS_GAP_FLOOR}, got {value!r}"
+            )
         cfg.tolerances[name] = v  # in argv order, so the last value of a name wins
     return cfg
 
@@ -606,7 +562,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         run, ns, cfg = _parse(argv)
-        code = run(ns, cfg, argv)
+        if run is None:  # -h/--help or --version: ns is the text
+            code = 0
+            sys.stdout.write(ns)
+        else:
+            code, fields, csv = run(ns, cfg)
+            if cfg.output_format == "json":
+                _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), **fields}))
+            else:
+                _write(cfg, chain([_lines(_meta_lines(cfg, argv))], csv))
         sys.stdout.flush()  # a pipe closed before the last write breaks here, not at exit
         return code
     except BrokenPipeError:

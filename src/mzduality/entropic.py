@@ -51,8 +51,10 @@ Q_STAR_BRACKET = (1.01, 2.0)
 MINIMIZER_VALUE_TOL = 1e-9  # candidates this close to the minimum all count
 
 _HALF_PI = math.pi / 2.0
-_BLOCK = 1 << 15  # rows per block of the ball sampler and sweep: 768 kB of (x, y, z)
-_ARC_BLOCK = 1 << 13  # angles per block of the arc sweep; small blocks keep a thread's arena small
+# rows (ball: from twice as many draws) or angles per block of the samplers,
+# the oracle's sweeps and verify: a float64 column of a block is about 64 kB,
+# below glibc's default mmap threshold, so its temporaries reuse heap pages
+_BLOCK = 1 << 13
 # candidate rows per block of the region minimizer: a block's rows, their
 # Python floats and its arrays trace about 1 MB, below the 2.3 MB oracle
 _REGION_BLOCK = 1 << 11
@@ -254,7 +256,7 @@ def _arc_min(q: float, n: int) -> float:
     import numpy as np
 
     best = math.inf
-    for a in _linspace_blocks(_HALF_PI, n, True, _ARC_BLOCK):
+    for a in _linspace_blocks(_HALF_PI, n, True, _BLOCK):
         vals = _bias_entropy(np.cos(a), q)
         vals += _bias_entropy(np.sin(a), q)
         best = min(best, float(vals.min()))
@@ -413,7 +415,7 @@ def constrained_min_over_region(
     blocks = chain(
         sweep,
         _pure_blocks(sphere_n, seed, _REGION_BLOCK),
-        _mixed_blocks(ball_n, seed + 1, 2 * _REGION_BLOCK),
+        _mixed_blocks(ball_n, seed + 1, _REGION_BLOCK),
     )
 
     # The checked rows hold the bits of the BlochVectors the predicate saw.
@@ -464,20 +466,22 @@ def _pure_blocks(n: int, seed: int, rows: int):
         yield v
 
 
-def _mixed_blocks(n: int, seed: int, cap: int):
+def _mixed_blocks(n: int, seed: int, rows: int):
     """Yield the rows of ``random_mixed_bloch(n, seed)`` in order, in blocks.
 
-    The samples are the first n rows of the seeded stream of cube points
-    that fall in the ball. A uniform draw takes one double per element, so
-    the draw sizes, ``min(2 * max(n - have, 64), cap)`` rows, change only
-    how far past the n-th kept row the generator runs.
+    Each block holds the rows kept from one draw of at most ``2 * rows``
+    cube points, about 1.05 ``rows`` of them. The samples are the first n
+    rows of the seeded stream of cube points that fall in the ball. A
+    uniform draw takes one double per element, so the draw sizes,
+    ``2 * min(max(n - have, 64), rows)`` rows, change only how far past the
+    n-th kept row the generator runs.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     have = 0
     while have < n:
-        block = rng.random(size=(min(max(n - have, 64) * 2, cap), 3))
+        block = rng.random(size=(2 * min(max(n - have, 64), rows), 3))
         block *= 2.0  # exact, so this is uniform(-1, 1)'s -1 + 2u
         block -= 1.0
         block = block.compress(_row_norms_sq(block) <= 1.0, axis=0)[: n - have]

@@ -258,10 +258,14 @@ def pv_audit(
     The relations are P^2 + V^2 <= 1, (1 - P^2)(1 - V^2) >= (PV)^2 and
     sqrt(M_P M_V) - sqrt((1 - M_P)(1 - M_V)) <= sqrt(1/2), M_X = (1 + X)/2;
     arrays give array fields, rhs stays a constant. The LP gap equals
-    (1 - P^2 - V^2)/scale, scale = (S + PV)(sqrt 2 + 2 lhs), S = sqrt((1 -
-    P^2)(1 - V^2)), so the LP leg judges gap * scale, the duality gap, with
-    eps_gap, as the other two legs do. A leg's verdicts differ from those of
-    the exact gap only where 1 - P^2 - V^2 lies within 4 ulp(1) of +-eps_gap.
+    (1 - P^2 - V^2)/scale, scale = (S + PV)(sqrt 2 + 2 lhs), S = sqrt(|(1 -
+    P^2)(1 - V^2)|), so the LP leg judges gap * scale, the duality gap, with
+    eps_gap, as the other two legs do. With one bias above 1 and the other
+    below, the identity fails; the absolute value keeps scale positive there,
+    so the LP leg reports the violation too (scale is 0 only at (P, V) =
+    (0, 1) and (1, 0), where every gap is 0). A leg's verdicts differ from
+    those of the exact gap only where 1 - P^2 - V^2 lies within 4 ulp(1) of
+    +-eps_gap.
     Floats are evaluated by math and give plain floats and bools (see ``_xp``);
     arrays give each element the float verdicts, overflow to inf included.
     A NaN, negative or infinite P or V is refused by name; one above 1 is not.
@@ -286,7 +290,7 @@ def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
     ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
     lp_lhs = xp.sqrt(ma * mb) - xp.sqrt(xp.maximum((1.0 - ma) * (1.0 - mb), 0.0))
     lp_gap = _LP_RHS - lp_lhs
-    scale = (xp.sqrt(xp.maximum(sr_lhs, 0.0)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
+    scale = (xp.sqrt(xp.abs(sr_lhs)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
     scaled = lp_gap * scale  # the duality gap, up to rounding
     return EquivalenceAudit(
         duality=duality,

@@ -108,6 +108,8 @@ def reference_parse(argv: list[str]) -> str | None:
             name, sep, value = item.partition("=")
             if not sep or name not in TOLERANCE_DEFAULTS or not 0.0 < float(value) < math.inf:
                 raise ValueError(item)
+            if name == "eps_gap" and float(value) < 1e-14:  # the CLI's floor
+                raise ValueError(item)
             resolved[name] = float(value)
     except ValueError:
         return None
@@ -146,8 +148,9 @@ VALUES = {
     "--format": _values(["csv", "json"], ["xml", "JSON", ""]),
     "--out": _values(["OUT_DIR/a.txt"], ["OUT_DIR/missing/b.txt", ""]),
     "--tolerance": _values(
-        ["eps_gap=0.3", "eps_pos=1e-3", "band_eps=1e-3", "eps_gap=5e-324", "eps_pos=1e300"],
-        ["eps_pos=inf", "eps_gap=nan", "band_eps=-1", "bogus=1", "eps_gap", "eps_gap=", "eps_gap=x", "=1"],
+        ["eps_gap=0.3", "eps_pos=1e-3", "band_eps=1e-3", "eps_gap=1e-14", "eps_pos=1e300"],
+        ["eps_pos=inf", "eps_gap=nan", "band_eps=-1", "bogus=1", "eps_gap", "eps_gap=", "eps_gap=x", "=1",
+         "eps_gap=5e-324"],
     ),
     "--bloch": (
         st.lists(st.sampled_from(COMPONENTS), min_size=3, max_size=3).map(",".join),

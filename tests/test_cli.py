@@ -35,7 +35,6 @@ from mzduality import cli, qubit
 from mzduality.cli import (
     _JSON_ITEM_SEP,
     _ROW_BLOCK,
-    _VERIFY_BLOCK,
     RunConfig,
     _json_chunks,
     _JsonArray,
@@ -46,6 +45,7 @@ from mzduality.cli import (
     _table,
     main,
 )
+from mzduality.entropic import _BLOCK
 from mzduality.qubit import EPS_POS, _checked_rows
 
 Q_STAR = 1.4313558811842468
@@ -262,7 +262,8 @@ def test_reused_parser_starts_each_run_from_the_defaults(capsys, where):
     override = ["--tolerance", "eps_gap=0.3", "--seed", "7", "--format", "json"]
     argv = ["verify", "--n", "20"]
     first = override + argv if where == "before" else argv + override
-    _, out, _ = run(capsys, *first)  # exit 2: eps_gap = 0.3 splits the saturation verdicts
+    code, out, _ = run(capsys, *first)
+    assert code == 0
     meta = json.loads(out)["meta"]
     assert (meta["seed"], meta["tolerances"]["eps_gap"]) == (7, 0.3)
     code, out, _ = run(capsys, *argv)
@@ -383,7 +384,7 @@ def test_verify_rejects_zero_states(capsys):
     assert code == 1
 
 
-def reference_verify(ns, cfg, argv):
+def reference_verify(ns, cfg):
     """The whole-array `verify`: every state sampled, checked and audited at once.
 
     Its samplers are held to one whole draw by test_entropic's
@@ -406,25 +407,15 @@ def reference_verify(ns, cfg, argv):
     ]
     agreed = ns.n - len(bad)
     ok = not bad
-    if cfg.output_format == "json":
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "checked": ns.n,
-            "agreed": agreed,
-            "violations": [{"index": i, "detail": d} for i, d in violations],
-            "all_hold": ok,
-        }
-        cli._write(cfg, _json_chunks(payload))
-    else:
-        lines = _meta_lines(cfg, argv) + [
-            "quantity,value",
-            f"checked,{ns.n}",
-            f"agreed,{agreed}",
-            f"all_hold,{cli._fmt_bool(ok)}",
-        ]
-        lines += [f"# violation index={i} {d}" for i, d in violations]
-        cli._write(cfg, [cli._lines(lines)])
-    return 0 if ok else 2
+    fields = {
+        "checked": ns.n,
+        "agreed": agreed,
+        "violations": [{"index": i, "detail": d} for i, d in violations],
+        "all_hold": ok,
+    }
+    lines = ["quantity,value", f"checked,{ns.n}", f"agreed,{agreed}", f"all_hold,{cli._fmt_bool(ok)}"]
+    lines += [f"# violation index={i} {d}" for i, d in violations]
+    return 0 if ok else 2, fields, [_reference_csv(lines)]
 
 
 def run_naming_bad_rows(capsys, monkeypatch, argv):
@@ -445,19 +436,23 @@ def run_naming_bad_rows(capsys, monkeypatch, argv):
 
 
 # around the edges of verify's blocks; at 20 000 both halves take two blocks
-VERIFY_SIZES = [1, 2, _VERIFY_BLOCK - 1, _VERIFY_BLOCK, _VERIFY_BLOCK + 1, 2 * _VERIFY_BLOCK - 1,
-                2 * _VERIFY_BLOCK, 2 * _VERIFY_BLOCK + 1, 20_000]
+VERIFY_SIZES = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+                20_000]
 
 
 @pytest.mark.parametrize("tolerance", [None, "eps_gap=1e-18", "eps_pos=1e-300"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", VERIFY_SIZES)
 def test_blocked_verify_keeps_the_whole_array_bytes(capsys, monkeypatch, n, fmt, tolerance):
-    # eps_gap=1e-18 forces violations across blocks; eps_pos=1e-300 refuses
-    # the first pure row that rounds to norm 1 + 2^-52, which must be the
-    # same row in both
+    # eps_gap=1e-18 forces violations across blocks; --tolerance refuses an
+    # eps_gap that small, so it is set as the default, which is not checked.
+    # eps_pos=1e-300 refuses the first pure row that rounds to norm 1 + 2^-52,
+    # which must be the same row in both
     argv = ["--format", fmt, "--seed", "11", "verify", "--n", str(n)]
-    argv += ["--tolerance", tolerance] if tolerance else []
+    if tolerance == "eps_gap=1e-18":
+        monkeypatch.setitem(cli.TOLERANCE_DEFAULTS, "eps_gap", 1e-18)
+    elif tolerance:
+        argv += ["--tolerance", tolerance]
     got = run_naming_bad_rows(capsys, monkeypatch, argv)
     spec = cli._COMMANDS["verify"]
     monkeypatch.setitem(cli._COMMANDS, "verify", (reference_verify, *spec[1:]))
@@ -529,8 +524,8 @@ def test_qscan_validation(capsys):
     assert code == 1
 
 
-def reference_qscan(ns, cfg, argv):
-    """The whole-table qscan: every row computed, then the text written at once."""
+def reference_qscan(ns, cfg):
+    """The whole-table qscan: every row computed, then returned as one list or text."""
     if ns.steps == 1:
         qs = [ns.qmin]
     else:
@@ -538,27 +533,20 @@ def reference_qscan(ns, cfg, argv):
         qs = [ns.qmin + i * step for i in range(ns.steps)]
         qs[-1] = ns.qmax
     rows = [(q, classify_regime(q, cfg.tolerances["band_eps"]), minimize_entropy_sum(q)) for q in qs]
-    if cfg.output_format == "json":
-        payload = {
-            "meta": _meta_dict(cfg, argv),
-            "rows": [
-                {
-                    "q": q,
-                    "regime": regime,
-                    "min_value": res.min_value,
-                    "minimizers": [[v, p] for v, p in res.minimizers],
-                }
-                for q, regime, res in rows
-            ],
+    table = [
+        {
+            "q": q,
+            "regime": regime,
+            "min_value": res.min_value,
+            "minimizers": [[v, p] for v, p in res.minimizers],
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = _meta_lines(cfg, argv) + ["q,regime,min_value,minimizers"]
-        for q, regime, res in rows:
-            mins = ";".join(f"{cli._fmt(v)}:{cli._fmt(p)}" for v, p in res.minimizers)
-            lines.append(f"{cli._fmt(q)},{regime},{cli._fmt(res.min_value)},{mins}")
-        sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
+        for q, regime, res in rows
+    ]
+    lines = ["q,regime,min_value,minimizers"]
+    for q, regime, res in rows:
+        mins = ";".join(f"{cli._fmt(v)}:{cli._fmt(p)}" for v, p in res.minimizers)
+        lines.append(f"{cli._fmt(q)},{regime},{cli._fmt(res.min_value)},{mins}")
+    return 0, {"rows": table}, [_reference_csv(lines)]
 
 
 # one row, and row counts around the written blocks of _ROW_BLOCK rows
@@ -994,6 +982,70 @@ def test_usage_error_is_one_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("mzduality: error: ")
+
+
+# each command's default argv, with the one source option state and mz need
+COMMAND_ARGV = {
+    name: [name, *(["--bloch", "0.6,0,0.8"] if name in ("state", "mz") else [])]
+    for name in cli._COMMANDS
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_command_returns_its_output_and_only_main_writes(capsys, command, fmt):
+    argv = ["--format", fmt, *COMMAND_ARGV[command]]
+    run_command, ns, cfg = cli._parse(argv)
+    code, fields, csv = run_command(ns, cfg)
+    assert type(code) is int and type(fields) is dict and "meta" not in fields
+    # the two bodies may read one row generator, so only the format's own is taken
+    if fmt == "json":
+        want = "".join(_json_chunks({"meta": _meta_dict(cfg, argv), **fields}))
+    else:
+        want = cli._lines(_meta_lines(cfg, argv)) + "".join(csv)
+    assert capsys.readouterr() == ("", "")  # taking the body writes nothing either
+    assert run(capsys, *argv) == (code, want, "")
+
+
+# one refused value per command; each is found before anything is written
+REFUSED = {
+    "state": ["state", "--bloch", "2,0,0"],
+    "mz": ["mz", "--bloch", "0,0,1", "--phases", "7"],
+    "verify": ["verify", "--n", "0"],
+    "qscan": ["qscan", "--qmax", "2.5"],
+    "qstar": ["qstar", "--tol", "1e-20"],
+    "contour": ["contour", "--n", "16"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_refused_value_opens_no_out_file(tmp_path, capsys, command, fmt):
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "--format", fmt, "--out", str(target), *REFUSED[command])
+    assert (code, out) == (1, "")
+    assert err.startswith("mzduality: error: ") and len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-18", "1e-16", "1e-15", "9.9999999999999e-15"])
+def test_eps_gap_below_the_floor_is_refused(tmp_path, capsys, value):
+    # there a pure state's rounding noise falls on both sides of eps_gap:
+    # verify --n 200000 exited 2 at 1e-16 on every seed and at 1e-15 on some
+    target = tmp_path / "out.txt"
+    argv = ["--tolerance", f"eps_gap={value}", "--out", str(target), "verify", "--n", "20"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"mzduality: error: tolerance eps_gap must be at least 1e-14, got '{value}'\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verify_agrees_at_the_eps_gap_floor(capsys, seed):
+    argv = ["--seed", str(seed), "--tolerance", f"eps_gap={cli.EPS_GAP_FLOOR!r}", "verify"]
+    code, out, _ = run(capsys, *argv, "--n", "200000")
+    assert code == 0
+    assert csv_values(out)["agreed"] == "200000"
 
 
 # Reference serializers: the per-cell formulas the CLI used before it

@@ -205,3 +205,25 @@ def test_pv_audit_arrays_give_the_float_verdicts():
         assert [audit_fields(column, i) for i in range(len(BIASES))] == [
             audit_fields(pv_audit(b, x)) for b in BIASES
         ]
+
+
+ZERO_BIASES = [0.0, -0.0, 5e-324]
+BIASES_ABOVE_ONE = [1.0 + 2.0**-51, 1.5, 2.0, math.nextafter(2.0, 3.0), 1e10, 1e300]
+
+
+def test_a_zero_bias_against_one_above_one_does_not_split_the_legs():
+    # there S = sqrt((1 - P^2)(1 - V^2)) and PV were both 0, so the LP leg's
+    # scale was 0 and it read holds and saturated where the other legs read
+    # a violation; |(1 - P^2)(1 - V^2)| keeps S positive
+    pairs = [(z, x) for z in ZERO_BIASES for x in BIASES_ABOVE_ONE]
+    pairs += [(x, z) for z, x in pairs]
+    p, v = np.array(pairs).T
+    array = pv_audit(p, v)
+    for i, (pi, vi) in enumerate(pairs):
+        for audit in (pv_audit(pi, vi), pv_audit(np.array([pi]), np.array([vi]))):
+            legs = (audit.duality, audit.sr, audit.lp)
+            assert len({bool(np.all(leg.holds)) for leg in legs}) == 1, (pi, vi)
+            assert len({bool(np.all(leg.saturated)) for leg in legs}) == 1, (pi, vi)
+            # a gap of 1 - 1.5^2 or less is a violation on every leg
+            assert bool(np.all(audit.all_hold)) == (max(pi, vi) < 1.5), (pi, vi)
+        assert audit_fields(array, i) == audit_fields(pv_audit(pi, vi)), (pi, vi)

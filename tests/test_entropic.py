@@ -42,9 +42,8 @@ from mzduality import (
     visibility_op,
 )
 from mzduality import entropic
-from mzduality.cli import _VERIFY_BLOCK
 from mzduality.entropic import (
-    _ARC_BLOCK,
+    _BLOCK,
     _REGION_BLOCK,
     _bias_entropy,
     _linspace_blocks,
@@ -709,9 +708,9 @@ REGIONS = {
 
 
 class TestArrayPathsKeepBits:
-    # around 2**14 the ball sampler's first draw reaches its 2**15-row cap;
-    # around 2**15 the sphere sampler starts its second block; around 2**12
-    # and 2**13, verify's blocks (_VERIFY_BLOCK rows, ball draws of twice that)
+    # around _BLOCK = 2**13 the ball sampler's first draw reaches its cap of
+    # 2 * _BLOCK rows and the sphere sampler starts its second block; the
+    # larger sizes cross several blocks of both
     @pytest.mark.parametrize(
         "n",
         [0, 1, 63, 64, 65, 4_095, 4_096, 4_097, 8_191, 8_192, 8_193, 100_000, 16_383, 16_384,
@@ -722,10 +721,10 @@ class TestArrayPathsKeepBits:
             want_pure, want_mixed = reference_pure_bloch(n, seed), reference_mixed_bloch(n, seed)
             assert same_bits(random_pure_bloch(n, seed), want_pure)
             assert same_bits(random_mixed_bloch(n, seed), want_mixed)
-            pure = list(_pure_blocks(n, seed, _VERIFY_BLOCK))
-            mixed = list(_mixed_blocks(n, seed, 2 * _VERIFY_BLOCK))
-            assert all(len(b) == _VERIFY_BLOCK for b in pure[:-1])
-            assert all(len(b) <= 2 * _VERIFY_BLOCK for b in mixed)
+            pure = list(_pure_blocks(n, seed, _BLOCK))
+            mixed = list(_mixed_blocks(n, seed, _BLOCK))
+            assert all(len(b) == _BLOCK for b in pure[:-1])
+            assert all(len(b) <= 2 * _BLOCK for b in mixed)
             assert same_bits(np.concatenate([np.empty((0, 3)), *pure]), want_pure)
             assert same_bits(np.concatenate([np.empty((0, 3)), *mixed]), want_mixed)
 
@@ -782,16 +781,16 @@ class TestArrayPathsKeepBits:
         assert got.argmin.as_tuple() == want_argmin.as_tuple()
         assert got.n_accepted == want_n
 
-    # sizes around the ball's 2**15 and the arc's 2**13-angle blocks; at 26
-    # and 8 327, (n - 1) * step rounds off pi/2, so the last angle is pinned
+    # sizes around the arc's 2**13-angle blocks and beyond; at 26 and 8 327,
+    # (n - 1) * step rounds off pi/2, so the last angle is pinned
     @pytest.mark.parametrize(
         "n",
         [2, 3, 26, 8_192, 8_193, 8_327, 10**4, 32_767, 32_768, 32_769, 65_537, 999_983, 10**6,
          3_000_001],
     )
     def test_arc_grid(self, n):
-        blocks = list(_linspace_blocks(math.pi / 2.0, n, True, _ARC_BLOCK))
-        assert all(len(a) <= _ARC_BLOCK for a in blocks)
+        blocks = list(_linspace_blocks(math.pi / 2.0, n, True, _BLOCK))
+        assert all(len(a) <= _BLOCK for a in blocks)
         assert same_bits(np.concatenate(blocks), np.linspace(0.0, math.pi / 2.0, n))
 
     # the region's x-z sweep: 4 is the smallest, the rest around its blocks
