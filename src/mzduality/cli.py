@@ -49,7 +49,7 @@ from .entropic import (
     minimize_entropy_sum,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
-from .qubit import EPS_POS, QubitState, _check_count, _checked_rows, _Record
+from .qubit import EPS_POS, QubitState, _check_count, _checked_rows, _Record, _slots
 from .uncertainty import EPS_GAP, _pv_audit, equivalence_audit
 
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
@@ -170,16 +170,9 @@ def _spelled(fmt: str, xs: Sequence[float]) -> list[str]:
 
 
 def _grid_cells(q: float, n: int) -> list[None]:
-    """n * n slots for the contour strings: after checking q and n, before any O(n) work.
-
-    A count past a list's index range (OverflowError) or past memory
-    (MemoryError) becomes one MemoryError that names --n and the count.
-    """
+    """n * n slots for the contour strings: after checking q and n, before any O(n) work."""
     _check_grid(q, n)
-    try:
-        return [None] * (n * n)
-    except (OverflowError, MemoryError):
-        raise MemoryError(f"--n {n}: no memory for the {n} x {n} = {n * n} cells") from None
+    return _slots(n * n, f"--n {n}: no memory for the {n} x {n} = {n * n} cells")
 
 
 def _symmetric_rows(h: Sequence[float], fmt: str, cells: list) -> Iterator[list[str]]:
@@ -278,7 +271,10 @@ def cmd_state(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[
 
 def cmd_mz(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
     inside = apply_beam_splitter(_state_from_args(ns, cfg))
-    scan = fringe_scan(inside, ns.phases)
+    try:
+        scan = fringe_scan(inside, ns.phases)
+    except MemoryError:  # fringe_scan names n_phases; the CLI names its flag
+        raise MemoryError(f"--phases {ns.phases}: no memory for {ns.phases} phases") from None
     v_analytic = visibility(inside)
     rows = zip(scan.phases, scan.p_d1, scan.p_d2)
     row = '{\n      "phi": %r,\n      "p_d1": %r,\n      "p_d2": %r\n    }'

@@ -23,6 +23,7 @@ from .qubit import (
     _check_count,
     _check_finite,
     _Record,
+    _slots,
 )
 
 
@@ -91,8 +92,10 @@ def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:
     detector D1 clicks with probability w_plus of the output state. That
     output has sz = -(sx cos phi - sy sin phi), so the whole scan is the
     closed form p_d1 = (1 - (sx cos phi - sy sin phi))/2 over the grid.
+    A count whose n_phases list slots cannot be had raises MemoryError at once.
     """
     _check_count("n_phases", n_phases, 8)
+    _slots(n_phases, f"n_phases {n_phases}: no memory for {n_phases} phases")
     sx, sy = state.bloch.sx, state.bloch.sy
     phases = tuple([TWO_PI * i / n_phases for i in range(n_phases)])
     p1 = tuple([

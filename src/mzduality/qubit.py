@@ -163,6 +163,17 @@ def _check_count(name: str, n: int, low: int) -> None:
         raise ValueError(f"{name} must be at least {low}, got {n}")
 
 
+def _slots(size: int, refusal: str) -> list[None]:
+    """[None] * size, taken before any O(size) work so that a huge count fails at once.
+
+    A size past a list's index range or past memory raises MemoryError(refusal).
+    """
+    try:
+        return [None] * size
+    except (OverflowError, MemoryError):
+        raise MemoryError(refusal) from None
+
+
 def _cross(u: Vec3, v: Vec3) -> Vec3:
     return (
         u[1] * v[2] - u[2] * v[1],

@@ -242,7 +242,7 @@ def _check_bias(name: str, x) -> None:
 
     An array costs one ``min`` and one ``max``, which ``verify`` skips through
     ``_pv_audit``. A bias above 1 is kept: a unit Bloch vector's V may round
-    to 1 + 1 ulp, and a larger one is a violation that the verdicts report.
+    to 1 + 1 ulp. ``pv_audit`` says where larger biases split its verdicts.
     """
     if isinstance(x, (int, float)):
         _check_nonnegative(name, float(x))
@@ -263,9 +263,12 @@ def pv_audit(
     eps_gap, as the other two legs do. With one bias above 1 and the other
     below, the identity fails; the absolute value keeps scale positive there,
     so the LP leg reports the violation too (scale is 0 only at (P, V) =
-    (0, 1) and (1, 0), where every gap is 0). A leg's verdicts differ from
-    those of the exact gap only where 1 - P^2 - V^2 lies within 4 ulp(1) of
-    +-eps_gap.
+    (0, 1) and (1, 0), where every gap is 0). For P and V in [0, 1 + 1 ulp],
+    the biases of states, a leg's verdicts differ from those of the exact
+    gap only where 1 - P^2 - V^2 lies within 4 ulp(1) of +-eps_gap. Far
+    above 1 the legs split: from about (1e8, 1e8) the SR gap rounds to 0, so
+    SR holds and saturates; from about (1e20, 1e20) LP holds too; at
+    (1e300, 1e300) the gaps are NaN and every verdict is False.
     Floats are evaluated by math and give plain floats and bools (see ``_xp``);
     arrays give each element the float verdicts, overflow to inf included.
     A NaN, negative or infinite P or V is refused by name; one above 1 is not.

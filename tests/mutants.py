@@ -1,0 +1,148 @@
+"""Mutants of the package that the test suite must kill, and a runner for them.
+
+Each entry names a module under ``src/mzduality``, a snippet that must occur
+in it exactly once, the snippet's replacement and the pytest arguments that
+must fail on the mutant. For each entry the runner copies ``src/`` to a
+temporary directory, applies that one edit and runs the selection against
+the copy through ``PYTHONPATH``. It reports every mutant that survives.
+
+    python tests/mutants.py          # every entry
+    python tests/mutants.py 0 3      # entries by index
+
+Exit status: 0 if every mutant is killed, 1 if one survives, 2 if a snippet
+does not occur exactly once or a selection runs no test. pytest does not
+collect this file: its name does not match ``test_*.py``.
+
+An edit that no input can tell apart from the original (an equivalent
+mutant) does not belong here. A change to the code that edits a listed
+snippet updates its entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (module, snippet, replacement, pytest arguments)
+MUTANTS = [
+    # the region minimizer settles only rows at the running array minimum,
+    # so a first strict minimum that numpy ranks a few ulps high is missed
+    (
+        "entropic.py",
+        "vals <= low + 1e-12",
+        "vals <= low",
+        ["tests/test_entropic.py", "-k", "region_minimum"],
+    ),
+    # a gap of exactly -eps_gap no longer holds
+    (
+        "uncertainty.py",
+        "gap, gap >= -eps_gap,",
+        "gap, gap > -eps_gap,",
+        ["tests/test_uncertainty.py"],
+    ),
+    # a gap of exactly +-eps_gap no longer saturates
+    (
+        "uncertainty.py",
+        "abs(gap) <= eps_gap)",
+        "abs(gap) < eps_gap)",
+        ["tests/test_uncertainty.py"],
+    ),
+    # rows whose norm rounds to 1 + 2^-52 are no longer rescaled to 1
+    (
+        "qubit.py",
+        "over = norm > 1.0",
+        "over = norm > 1.0 + 2.0**-52",
+        ["tests/test_cli.py", "-k", "verify"],
+    ),
+    # a row of norm exactly 1 + eps_pos is refused, where BlochVector takes it
+    (
+        "qubit.py",
+        "~(norm <= 1.0 + eps_pos)",
+        "~(norm < 1.0 + eps_pos)",
+        ["tests/test_cli.py", "-k", "verify"],
+    ),
+    # the last angle of the arc is left as (n - 1) * step, which can round off pi/2
+    (
+        "entropic.py",
+        "a[-1] = stop",
+        "a[-1] = a[-1]",
+        ["tests/test_entropic.py", "-k", "arc_grid or brute_force"],
+    ),
+    # the oracle's running minima start below every entropy sum: the arc's
+    # on the helper thread, then the ball's on the calling thread
+    (
+        "entropic.py",
+        "best = math.inf\n    for a in",
+        "best = 0.0\n    for a in",
+        ["tests/test_entropic.py", "-k", "brute_force or BruteForce"],
+    ),
+    (
+        "entropic.py",
+        "best = math.inf\n        for s in",
+        "best = 0.0\n        for s in",
+        ["tests/test_entropic.py", "-k", "brute_force or BruteForce"],
+    ),
+]
+
+
+def mutated_source(module: str, snippet: str, replacement: str) -> tuple[Path, str]:
+    path = ROOT / "src" / "mzduality" / module
+    text = path.read_text(encoding="utf-8")
+    count = text.count(snippet)
+    if count != 1:
+        raise LookupError(f"{module}: {snippet!r} occurs {count} times, not once")
+    return path.relative_to(ROOT), text.replace(snippet, replacement)
+
+
+def killed(rel: Path, text: str, selection: list[str]) -> bool:
+    """Whether the selection fails on a copy of src/ whose file rel holds text."""
+    with tempfile.TemporaryDirectory(prefix="mzduality-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (Path(tmp) / rel).write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        # pyproject.toml puts the checkout's src first on the path; the empty
+        # override leaves PYTHONPATH's mutated copy to be imported
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        argv += ["-o", "pythonpath=", *selection]
+        result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):  # 5: no test collected; 2-4: an error
+        raise RuntimeError(f"pytest exited {result.returncode}\n{result.stdout}")
+    return result.returncode == 1
+
+
+def main(argv: list[str]) -> int:
+    indices = [int(a) for a in argv] or list(range(len(MUTANTS)))
+    try:  # every snippet is checked before anything runs
+        edits = [mutated_source(*MUTANTS[i][:3]) for i in indices]
+    except LookupError as exc:
+        print(f"mutants: {exc}", file=sys.stderr)
+        return 2
+    survivors = 0
+    start = time.perf_counter()
+    for i, (rel, text) in zip(indices, edits):
+        module, snippet, replacement, selection = MUTANTS[i]
+        t = time.perf_counter()
+        try:
+            dead = killed(rel, text, selection)
+        except RuntimeError as exc:
+            print(f"mutants: mutant {i}: {exc}", file=sys.stderr)
+            return 2
+        survivors += not dead
+        took = time.perf_counter() - t
+        verdict = "killed" if dead else "SURVIVED"
+        print(f"{i}: {verdict} in {took:.1f} s: {module}: {snippet!r} -> {replacement!r}")
+    took = time.perf_counter() - start
+    print(f"{len(indices) - survivors} of {len(indices)} killed in {took:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

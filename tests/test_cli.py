@@ -373,7 +373,10 @@ def test_verify_applies_eps_pos(capsys):
 
 
 def test_verify_rows_follow_bloch_vector_rule():
-    rows = np.vstack([random_pure_bloch(50, 3) * (1.0 + 1e-10), random_mixed_bloch(50, 4)])
+    # with the samples, a norm of 1 + 2^-52, which rounding often gives, and
+    # one of exactly 1 + EPS_POS, the largest that BlochVector takes
+    edges = [[1.0 + 2.0**-52, 0.0, 0.0], [0.0, 0.0, 1.0 + EPS_POS]]
+    rows = np.vstack([random_pure_bloch(50, 3) * (1.0 + 1e-10), random_mixed_bloch(50, 4), edges])
     want = [BlochVector(*map(float, r)).as_tuple() for r in rows]
     got = [tuple(r) for r in _checked_rows(rows.copy(), EPS_POS).tolist()]
     assert got == want
@@ -916,6 +919,45 @@ def test_huge_contour_side_is_a_one_line_error():
     )
     sizes = (2**31, 2**32, 2**63 - 1, 10**30)
     want = [(n, 1, "", huge_contour_error(n)) for n in sizes for _ in ("csv", "json")]
+    assert ast.literal_eval(result.stdout) == want
+
+
+HUGE_MZ_PROBE = """
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import mzduality.cli as cli
+from mzduality import QubitState, fringe_scan
+seen = []
+for n in (10**22, 2**62):
+    try:
+        fringe_scan(QubitState.from_bloch(0.0, 0.0, 1.0), n)
+    except MemoryError as exc:
+        seen.append(str(exc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["mz", "--bloch", "0,0,1", "--phases", str(n)])
+    seen.append((code, out.getvalue(), err.getvalue()))
+print(repr(seen))
+"""
+
+
+def test_huge_phase_count_is_a_one_line_error():
+    # fringe_scan takes its n_phases slots before any O(n) work, so both
+    # counts fail at once: 10**22 past a list's index range, 2**62 past its
+    # byte size. A scan that filled memory first would end in a bare
+    # MemoryError under the 1 GiB address-space limit, not in this message
+    result = subprocess.run(
+        [sys.executable, "-c", HUGE_MZ_PROBE],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    want = []
+    for n in (10**22, 2**62):
+        want.append(f"n_phases {n}: no memory for {n} phases")
+        want.append((1, "", f"mzduality: error: --phases {n}: no memory for {n} phases\n"))
     assert ast.literal_eval(result.stdout) == want
 
 

@@ -561,12 +561,12 @@ class TestMemoryBound:
     def test_brute_force_min(self):
         # one block of ball temporaries plus one arc block on the helper
         # thread (tracemalloc sees every thread); no arc grid is held.
-        # Up to 3.14 MB on the first call in a process, 2.26 MB on later calls
+        # About 2.3 MB on the first call in a process, 1.5 MB on later calls
         assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
 
     def test_constrained_min_over_region(self):
         # one block of candidates, their Python floats and their arrays,
-        # about 0.8 MB at 3 * 10**4 samples as at 3 * 10**5; the whole
+        # about 1.2 MB at 3 * 10**4 samples and 1.5 MB at 3 * 10**5; the whole
         # candidate array and its one tolist() peaked at 67.2 MB here
         half_space = REGIONS["half_space"]
         assert self.traced_peak(constrained_min_over_region, 1.7, half_space, 3 * 10**5) < 1.6e6
@@ -755,10 +755,23 @@ class TestArrayPathsKeepBits:
         want = [reference_branch_entropy(f, q, FloatOps) for f in x.tolist()]
         assert [h.hex() for h in floats] == [h.hex() for h in want]
 
-    @pytest.mark.parametrize("region", sorted(REGIONS))
-    @pytest.mark.parametrize("q", [0.3, 1.0 - 1e-4, 1.0, 1.0 + 1e-6, Q_STAR, 2.0])
-    def test_region_minimum(self, region, q):
-        self.check_region_minimum(region, q, 3_000)
+    # the last two: the first strict minimum, (0, 0, 1), ranks a few ulps
+    # above a later row of the same float value in the array values, so only
+    # the 1e-12 screen window sends it to the float comparison
+    @pytest.mark.parametrize(
+        ("q", "region", "n", "seed"),
+        [
+            pytest.param(q, region, 3_000, 5, id=f"{q}-{region}")
+            for q in (0.3, 1.0 - 1e-4, 1.0, 1.0 + 1e-6, Q_STAR, 2.0)
+            for region in sorted(REGIONS)
+        ]
+        + [
+            pytest.param(1.4188845157209462, "everything", 12, 323, id="screen-window-12"),
+            pytest.param(1.103920445705629, "everything", 6_145, 557, id="screen-window-6145"),
+        ],
+    )
+    def test_region_minimum(self, q, region, n, seed):
+        self.check_region_minimum(region, q, n, seed)
 
     # 3 * _REGION_BLOCK - 1 to + 1 put the sweep's and the sphere's block
     # edges at and around their ends; 30 000 and 40 001 cross several blocks
@@ -772,10 +785,10 @@ class TestArrayPathsKeepBits:
         self.check_region_minimum(region, q, n)
 
     @staticmethod
-    def check_region_minimum(region, q, n):
+    def check_region_minimum(region, q, n, seed=5):
         got_calls, want_calls = Recorded(REGIONS[region]), Recorded(REGIONS[region])
-        got = constrained_min_over_region(q, got_calls, n, seed=5)
-        want_val, want_argmin, want_n = reference_region_min(q, want_calls, n, 5)
+        got = constrained_min_over_region(q, got_calls, n, seed=seed)
+        want_val, want_argmin, want_n = reference_region_min(q, want_calls, n, seed)
         assert got_calls.calls == want_calls.calls
         assert repr(got.min_value) == repr(want_val)
         assert got.argmin.as_tuple() == want_argmin.as_tuple()

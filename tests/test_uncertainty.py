@@ -361,6 +361,18 @@ class TestPvAudit:
         empty = pv_audit(np.array([]), np.array([]))
         assert empty.all_hold.shape == (0,)
 
+    @pytest.mark.parametrize(("p", "v", "gap"), [(0.5, 0.5, 0.5), (1.0, 1.0, -1.0)])
+    def test_a_gap_of_exactly_eps_gap_is_inside_it(self, p, v, gap):
+        # the duality and SR gaps are exact here: at eps_gap = |gap| each leg
+        # saturates and holds; one ulp less, neither saturates, and a
+        # negative gap no longer holds
+        inside = pv_audit(p, v, abs(gap))
+        outside = pv_audit(p, v, math.nextafter(abs(gap), 0.0))
+        for leg in (inside.duality, inside.sr):
+            assert (leg.gap, leg.holds, leg.saturated) == (gap, True, True)
+        for leg in (outside.duality, outside.sr):
+            assert (leg.gap, leg.holds, leg.saturated) == (gap, gap > 0.0, False)
+
     def test_slightly_mixed_states_stay_unsaturated(self):
         # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, so no
         # relation may saturate, however small the LP gap's own scale
