@@ -270,6 +270,7 @@ def cmd_state(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[
 
 
 def cmd_mz(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
+    _check_count("--phases", ns.phases, 8)
     inside = apply_beam_splitter(_state_from_args(ns, cfg))
     try:
         scan = fringe_scan(inside, ns.phases)

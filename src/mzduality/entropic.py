@@ -59,6 +59,11 @@ _BLOCK = 1 << 13
 # Python floats and its arrays trace about 1.2 MB (1.5 MB at 3 * 10**5 samples)
 _REGION_BLOCK = 1 << 11
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# the oracle's pruning: arc angles per run that share one lower bound, cells
+# per axis of the ball's bound table, and the margin a bound must clear
+_RUN = 1 << 8
+_CELLS = 64
+_SLACK = 1e-12
 
 
 def _check_q(q: float) -> None:
@@ -230,37 +235,108 @@ def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:
     return "I" if q < q_star else "III"
 
 
-def _linspace_blocks(stop: float, n: int, endpoint: bool, rows: int):
-    """Yield ``np.linspace(0, stop, n, endpoint=endpoint)`` bit for bit, ``rows`` values at a time.
+def _linspace_at(k, stop: float, n: int, endpoint: bool):
+    """``np.linspace(0, stop, n, endpoint=endpoint)`` at the float positions k, bit for bit.
 
-    Each block takes linspace's own steps: the float positions, times
-    ``step = float64(stop) / (n - 1)`` (``/ n`` without the endpoint), plus
-    0.0; with the endpoint, the last value is set to stop exactly. Needs
-    n >= 2 with the endpoint, n >= 1 without.
+    These are linspace's own steps: k times ``step = float64(stop) / (n - 1)``
+    (``/ n`` without the endpoint), plus 0.0; with the endpoint, position
+    n - 1 is set to stop exactly. Needs n >= 2 with the endpoint, n >= 1
+    without.
     """
     import numpy as np
 
-    step = np.float64(stop) / (n - 1 if endpoint else n)
+    a = k * (np.float64(stop) / (n - 1 if endpoint else n)) + 0.0
+    if endpoint:
+        a[k == n - 1] = stop
+    return a
+
+
+def _linspace_blocks(stop: float, n: int, endpoint: bool, rows: int):
+    """Yield ``np.linspace(0, stop, n, endpoint=endpoint)`` bit for bit, in blocks of ``rows``."""
+    import numpy as np
+
     for start in range(0, n, rows):
-        end = min(start + rows, n)
-        a = np.arange(start, end, dtype=float)
-        a *= step
-        a += 0.0
-        if endpoint and end == n:
-            a[-1] = stop
-        yield a
+        k = np.arange(start, min(start + rows, n), dtype=float)
+        yield _linspace_at(k, stop, n, endpoint)
+
+
+def _arc_angles(k, n: int):
+    """The angles of ``np.linspace(0, pi/2, n)`` at the float positions k."""
+    return _linspace_at(k, _HALF_PI, n, True)
+
+
+def _arc_sums(a, q):
+    """H_q(cos a) + H_q(sin a) of an array of angles, elementwise."""
+    import numpy as np
+
+    return _bias_entropy(np.cos(a), q) + _bias_entropy(np.sin(a), q)
+
+
+def _up(b):
+    """Biases moved outward by up to 16 ulps, capped at 1, so they bound a bias rounded near b."""
+    import numpy as np
+
+    return np.minimum(b * (1.0 + 2.0**-48), 1.0)
+
+
+def _arc_bounds(q: float, n: int, lo):
+    """Lower bounds of ``_arc_sums`` on the runs of ``_RUN`` arc angles starting at positions lo.
+
+    On a run cos falls and sin rises, and H_q never increases as the bias
+    grows, so H_q(cos a_lo) + H_q(sin a_hi) bounds the run from below.
+    """
+    import numpy as np
+
+    a_lo = _arc_angles(lo, n)
+    a_hi = _arc_angles(np.minimum(lo + (_RUN - 1), n - 1), n)
+    return _bias_entropy(_up(np.cos(a_lo)), q) + _bias_entropy(_up(np.sin(a_hi)), q)
 
 
 def _arc_min(q: float, n: int) -> float:
-    """Minimum of H_q(cos a) + H_q(sin a) over the n angles of ``np.linspace(0, pi/2, n)``."""
+    """Minimum of ``_arc_sums`` over the n angles of ``np.linspace(0, pi/2, n)``.
+
+    Only runs whose bound is within ``_SLACK`` of the smallest sum at the
+    angle positions 0, (n - 1) // 2 and n - 1 are evaluated; that threshold
+    only prunes and is never returned.
+    """
     import numpy as np
 
+    cut = float(_arc_sums(_arc_angles(np.array([0.0, (n - 1) // 2, n - 1]), n), q).min())
+    cut += _SLACK
+    runs = -(-n // _RUN)
     best = math.inf
-    for a in _linspace_blocks(_HALF_PI, n, True, _BLOCK):
-        vals = _bias_entropy(np.cos(a), q)
-        vals += _bias_entropy(np.sin(a), q)
-        best = min(best, float(vals.min()))
+    for first in range(0, runs, _BLOCK):
+        lo = np.arange(first, min(first + _BLOCK, runs), dtype=float) * _RUN
+        lo = lo[_arc_bounds(q, n, lo) <= cut]
+        # the kept runs, _BLOCK angles at a time
+        for i in range(0, len(lo), _BLOCK // _RUN):
+            k = (lo[i : i + _BLOCK // _RUN, None] + np.arange(_RUN)).ravel()
+            best = min(best, float(_arc_sums(_arc_angles(k[k < n], n), q).min()))
     return best
+
+
+def _cell_bounds(q: float):
+    """(_CELLS, _CELLS) lower bounds of the entropy sum over cells of the Bloch ball.
+
+    Cell (i, j) holds the rows with i <= |z| * _CELLS < i + 1 and
+    j <= (x*x + y*y) * _CELLS < j + 1 (the last cells up to 1 included);
+    the entropy sum there is at least the one at the top of both ranges.
+    """
+    import numpy as np
+
+    top = np.arange(1, _CELLS + 1) / _CELLS
+    return np.add.outer(_bias_entropy(_up(top), q), _bias_entropy(_up(np.sqrt(top)), q))
+
+
+def _ball_bounds(cells, s):
+    """The bound of each row of s: the entry of ``cells`` for the cell the row falls in."""
+    import numpy as np
+
+    def index(v):  # v * _CELLS is exact: _CELLS is a power of two
+        return np.minimum(v * _CELLS, _CELLS - 1).astype(np.intp)
+
+    x, y, z = s.T
+    return cells[index(np.abs(z)), index(x * x + y * y)]
 
 
 def brute_force_min(
@@ -276,27 +352,28 @@ def brute_force_min(
     Bloch ball, are swept as well (they can only confirm, never undercut,
     the pure minimum, because entropies grow toward the center of the ball).
 
-    Both sweeps run over blocks and keep a running minimum, so the
-    temporaries stay cache-sized; the minimum is exact, so the result does
-    not depend on the block sizes. With include_mixed the arc is swept on
-    one helper thread while the calling thread sweeps the ball: the two are
-    independent and numpy releases the interpreter lock in its loops. An
-    exception on the helper is raised here.
+    The result is the minimum of every state's entropy sum, as one
+    whole-array sweep computes it. States that cannot reach that minimum
+    are skipped by lower bounds: H_q never increases as the bias grows,
+    cos and sin are monotone on a run of ``_RUN`` consecutive arc angles,
+    and a ball row's bound is taken at the top of its |z| and x^2 + y^2
+    cell. Bounds move biases a few ulps outward, and a state is skipped
+    only if its bound exceeds the threshold (three arc states for the arc,
+    the running minimum for the ball) by more than ``_SLACK``, which covers
+    the rounding of the entropy sums. The arc runs first, then the ball, on
+    the calling thread, in blocks, so memory is O(_BLOCK) at any n_states.
     """
     _check_q_minimization(q)
     _check_count("n_states", n_states, 10_000)
+    best = _arc_min(q, n_states)
     if not include_mixed:
-        return _arc_min(q, n_states)
-    from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np
-
-    with ThreadPoolExecutor(1) as pool:
-        arc = pool.submit(_arc_min, q, n_states)
-        best = math.inf
-        for s in _mixed_blocks(n_states, seed, _BLOCK):
+        return best
+    cells = _cell_bounds(q)
+    for s in _mixed_blocks(n_states, seed, _BLOCK):
+        s = s[_ball_bounds(cells, s) <= best + _SLACK]
+        if len(s):
             best = min(best, float(_state_entropy_sum(*s.T, q).min()))
-        return min(arc.result(), best)
+    return best
 
 
 class ContourGrid(_Record):

@@ -71,23 +71,58 @@ MUTANTS = [
     # the last angle of the arc is left as (n - 1) * step, which can round off pi/2
     (
         "entropic.py",
-        "a[-1] = stop",
-        "a[-1] = a[-1]",
+        "a[k == n - 1] = stop",
+        "a[k == n - 1] = a[k == n - 1]",
         ["tests/test_entropic.py", "-k", "arc_grid or brute_force"],
     ),
-    # the oracle's running minima start below every entropy sum: the arc's
-    # on the helper thread, then the ball's on the calling thread
+    # the oracle's running minimum starts below every entropy sum: at the
+    # arc's first block, then at the ball's first block
     (
         "entropic.py",
-        "best = math.inf\n    for a in",
-        "best = 0.0\n    for a in",
+        "best = math.inf\n    for first in",
+        "best = 0.0\n    for first in",
         ["tests/test_entropic.py", "-k", "brute_force or BruteForce"],
     ),
     (
         "entropic.py",
-        "best = math.inf\n        for s in",
-        "best = 0.0\n        for s in",
+        "best = _arc_min(q, n_states)",
+        "best = 0.0",
         ["tests/test_entropic.py", "-k", "brute_force or BruteForce"],
+    ),
+    # states whose bound lies just below the threshold are skipped: at
+    # n = 16 385 the last arc run is the one angle pi/2, the minimum at q = 0.5
+    (
+        "entropic.py",
+        "_SLACK = 1e-12",
+        "_SLACK = -1e-12",
+        ["tests/test_entropic.py", "-k", "brute_force_min"],
+    ),
+    # the ball's bound takes x^2 + y^2 for the bias hypot(x, y): too high
+    (
+        "entropic.py",
+        "_up(np.sqrt(top))",
+        "_up(top)",
+        ["tests/test_entropic.py", "-k", "bounds_are_sound"],
+    ),
+    # an arc run's bound takes sin at its first angle, where sin is smallest
+    (
+        "entropic.py",
+        "_up(np.sin(a_hi))",
+        "_up(np.sin(a_lo))",
+        ["tests/test_entropic.py", "-k", "bounds_are_sound"],
+    ),
+    # no pruning: every arc run, or every ball row, is evaluated
+    (
+        "entropic.py",
+        "lo[_arc_bounds(q, n, lo) <= cut]",
+        "lo[_arc_bounds(q, n, lo) <= math.inf]",
+        ["tests/test_entropic.py", "-k", "prunes_most"],
+    ),
+    (
+        "entropic.py",
+        "s[_ball_bounds(cells, s) <= best + _SLACK]",
+        "s[_ball_bounds(cells, s) <= math.inf]",
+        ["tests/test_entropic.py", "-k", "prunes_most"],
     ),
 ]
 

@@ -302,7 +302,15 @@ def test_mz_json(capsys):
 def test_mz_rejects_tiny_grid(capsys):
     code, _, err = run(capsys, "mz", "--bloch", "0,0,1", "--phases", "7")
     assert code == 1
-    assert "n_phases" in err
+    assert err == "mzduality: error: --phases must be at least 8, got 7\n"
+
+
+@pytest.mark.parametrize("phases", ["-1", "0", "3"])
+def test_mz_names_its_flag_for_a_small_phase_count(capsys, phases):
+    # as verify names --n and qscan --steps, not the library's n_phases
+    assert run(capsys, "mz", "--bloch", "0,0,1", "--phases", phases) == (
+        1, "", f"mzduality: error: --phases must be at least 8, got {phases}\n"
+    )
 
 
 def test_verify_all_agree(capsys):

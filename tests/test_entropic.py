@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures  # noqa: F401  (before any tracing: see TestMemoryBound)
-import itertools
 import math
 import threading
 import tracemalloc
@@ -45,10 +43,16 @@ from mzduality import entropic
 from mzduality.entropic import (
     _BLOCK,
     _REGION_BLOCK,
+    _RUN,
+    _arc_bounds,
+    _arc_sums,
+    _ball_bounds,
     _bias_entropy,
+    _cell_bounds,
     _linspace_blocks,
     _mixed_blocks,
     _pure_blocks,
+    _state_entropy_sum,
 )
 
 INV_SQRT2 = 2.0**-0.5
@@ -340,31 +344,45 @@ class TestBruteForce:
             brute_force_min(2.5, 10_000, include_mixed=False)
 
     @pytest.mark.parametrize("include_mixed", [False, True])
-    def test_arc_runs_on_a_helper_thread_only_beside_the_ball(self, monkeypatch, include_mixed):
-        threads = []
-
-        def recorded(q, n):
-            threads.append(threading.current_thread())
-            return arc_min(q, n)
-
-        arc_min = entropic._arc_min
-        monkeypatch.setattr(entropic, "_arc_min", recorded)
-        brute_force_min(1.7, 10_000, include_mixed, seed=3)
-        assert len(threads) == 1
-        assert (threads[0] is threading.current_thread()) is not include_mixed
-
-    def test_arc_sweep_error_reaches_the_caller(self, monkeypatch):
-        def failing_blocks(*args):
-            yield from itertools.islice(linspace_blocks(*args), 1)
-            raise FloatingPointError("arc block failed")
-
-        # the ball sweep on the calling thread draws no linspace blocks
-        linspace_blocks = entropic._linspace_blocks
-        monkeypatch.setattr(entropic, "_linspace_blocks", failing_blocks)
+    def test_starts_no_thread(self, include_mixed):
         before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="arc block failed"):
-            brute_force_min(1.7, 10**5, include_mixed=True, seed=3)
+        brute_force_min(1.7, 10**5, include_mixed, seed=3)
         assert threading.active_count() == before
+
+    # the bounds must hold for the computed sums, not only for the exact ones
+    @pytest.mark.parametrize("n", [10_000, 250_001])
+    @pytest.mark.parametrize("q", [0.25, 0.3, 1.0, 1.05, Q_STAR - 1e-7, Q_STAR + 1e-7, 2.0])
+    def test_arc_run_bounds_are_sound(self, q, n):
+        vals = _arc_sums(np.linspace(0.0, math.pi / 2.0, n), q)
+        starts = np.arange(0, n, _RUN)
+        bounds = _arc_bounds(q, n, starts.astype(float))
+        assert np.all(bounds <= np.minimum.reduceat(vals, starts))
+
+    @pytest.mark.parametrize("n", [10_000, 250_001])
+    @pytest.mark.parametrize("q", [0.25, 0.3, 1.0, 1.05, Q_STAR - 1e-7, Q_STAR + 1e-7, 2.0])
+    def test_ball_row_bounds_are_sound(self, q, n):
+        s = random_mixed_bloch(n, 3)
+        bounds = _ball_bounds(_cell_bounds(q), s)
+        assert np.all(bounds <= _state_entropy_sum(*s.T, q))
+
+    def test_prunes_most_states(self, monkeypatch):
+        evaluated = {"arc": 0, "ball": 0}
+
+        def arc_sums(a, q):
+            evaluated["arc"] += len(a)
+            return arc(a, q)
+
+        def state_sums(x, y, z, q):
+            evaluated["ball"] += len(z)
+            return ball(x, y, z, q)
+
+        arc, ball = entropic._arc_sums, entropic._state_entropy_sum
+        monkeypatch.setattr(entropic, "_arc_sums", arc_sums)
+        monkeypatch.setattr(entropic, "_state_entropy_sum", state_sums)
+        brute_force_min(1.7, 10**6, True, seed=3)
+        # about 4.2 % of the arc's angles and 0.7 % of the ball's rows
+        assert evaluated["arc"] < 0.05 * 10**6
+        assert evaluated["ball"] < 0.05 * 10**6
 
 
 class TestContourGrid:
@@ -544,9 +562,7 @@ class TestMemoryBound:
     """The oracle and the samplers hold one block of states at a time.
 
     numpy reports its buffers to tracemalloc, so the peaks are exact. The
-    whole-array oracle and ball sampler peaked at 99.5 MB and 83.5 MB. The oracle imports
-    concurrent.futures on its first call; this module imports it first,
-    so the peaks count working memory, not module import.
+    whole-array oracle and ball sampler peaked at 99.5 MB and 83.5 MB.
     """
 
     @staticmethod
@@ -559,9 +575,9 @@ class TestMemoryBound:
             tracemalloc.stop()
 
     def test_brute_force_min(self):
-        # one block of ball temporaries plus one arc block on the helper
-        # thread (tracemalloc sees every thread); no arc grid is held.
-        # About 2.3 MB on the first call in a process, 1.5 MB on later calls
+        # one block of ball temporaries, or one block of arc angles or run
+        # bounds; no arc grid is held. About 1.6 MB on the first call in a
+        # process, 0.8 MB on later calls
         assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
 
     def test_constrained_min_over_region(self):
@@ -814,8 +830,12 @@ class TestArrayPathsKeepBits:
         want = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         assert same_bits(np.concatenate(blocks), want)
 
+    # at 16 385 and 65 537 the last arc run is the one angle pi/2, whose bound
+    # equals its sum: at q = 0.5 that sum is the minimum, so it needs the slack
     @pytest.mark.parametrize("n_states", [10_000, 16_383, 16_384, 16_385, 32_768, 65_537, 250_001])
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.95, 1.0, 1.05, Q_STAR, 2.0])
+    @pytest.mark.parametrize(
+        "q", [0.25, 0.3, 0.5, 0.95, 1.0, 1.05, Q_STAR - 1e-7, Q_STAR, Q_STAR + 1e-7, 2.0]
+    )
     def test_brute_force_min(self, q, n_states):
         for include_mixed in (False, True):
             for seed in range(3):
