@@ -16,10 +16,11 @@ a newline. Every table float is spelled by "%": "%.17g" in CSV and "%r" in
 JSON, which is json's spelling of a finite float, the only kind a table
 holds. The mz and qscan tables are formatted and written in blocks of
 rows, one "%" per block; contour writes one grid row at a time.
-Each command ``cmd_x(ns, cfg)`` validates its options and returns
-``(code, fields, csv)``: its exit code, its JSON fields after "meta", and
-its CSV chunks after the metadata lines. Only ``main`` writes: the metadata,
-then the body of the chosen format, whose rows are computed as it is written.
+Each command ``cmd_x(ns)`` takes the namespace of every parsed option,
+checks the ones it reads and returns ``(code, fields, csv)``: its exit
+code, its JSON fields after "meta", and its CSV chunks after the metadata
+lines. Only ``main`` writes: the metadata, then the body of the chosen
+format, whose rows are computed as it is written.
 Angles are radians; floats are printed with 17 significant digits. Exit
 codes: 0 success, 1 usage or validation error, or stdout closed by its
 reader (nothing more is written and stderr stays empty), 2 property
@@ -40,6 +41,7 @@ from .entropic import (
     LN2,
     ContourGrid,
     _check_grid,
+    _check_tolerance,
     _grid_entropies,
     _mixed_blocks,
     _pure_blocks,
@@ -68,31 +70,6 @@ MAX_SEED = 2**64 - 1
 _ROW_BLOCK = 1024  # table rows per written chunk, formatted with one "%"
 
 
-class RunConfig(_Record):
-    """Resolved global options for one CLI invocation; mutable, so unhashable."""
-
-    seed: int
-    output_format: str
-    output_path: str | None
-    tolerances: dict[str, float]
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        seed: int = 0,
-        output_format: str = "csv",
-        output_path: str | None = None,
-        tolerances: dict[str, float] | None = None,
-    ) -> None:
-        self.seed = seed
-        self.output_format = output_format
-        self.output_path = output_path
-        self.tolerances = dict(TOLERANCE_DEFAULTS) if tolerances is None else tolerances
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -112,23 +89,23 @@ def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _meta_lines(cfg: RunConfig, argv: list[str]) -> list[str]:
-    tol = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(cfg.tolerances.items()))
+def _meta_lines(ns: SimpleNamespace, argv: list[str]) -> list[str]:
+    tol = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(ns.tolerance.items()))
     return [
         f"# tool: mzduality {__version__}",
         f"# command: {' '.join(argv)}",
-        f"# seed: {cfg.seed}",
+        f"# seed: {ns.seed}",
         f"# tolerances: {tol}",
     ]
 
 
-def _meta_dict(cfg: RunConfig, argv: list[str]) -> dict:
+def _meta_dict(ns: SimpleNamespace, argv: list[str]) -> dict:
     return {
         "tool": "mzduality",
         "version": __version__,
         "command": " ".join(argv),
-        "seed": cfg.seed,
-        "tolerances": {k: cfg.tolerances[k] for k in sorted(cfg.tolerances)},
+        "seed": ns.seed,
+        "tolerances": {k: ns.tolerance[k] for k in sorted(ns.tolerance)},
     }
 
 
@@ -136,9 +113,8 @@ def _lines(lines: Iterable[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _write(cfg: RunConfig, chunks: Iterable[str]) -> None:
-    """Write the output chunks in order to --out, or to stdout without it."""
-    path = cfg.output_path
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the output chunks in order to the file at path, or to stdout if it is None."""
     out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="\n")
     try:
         for chunk in chunks:
@@ -171,7 +147,7 @@ def _spelled(fmt: str, xs: Sequence[float]) -> list[str]:
 
 def _grid_cells(q: float, n: int) -> list[None]:
     """n * n slots for the contour strings: after checking q and n, before any O(n) work."""
-    _check_grid(q, n)
+    _check_grid(q, n, "--n")
     return _slots(n * n, f"--n {n}: no memory for the {n} x {n} = {n * n} cells")
 
 
@@ -226,20 +202,20 @@ def _json_chunks(payload: dict) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _state_from_args(ns: SimpleNamespace, cfg: RunConfig) -> QubitState:
+def _state_from_args(ns: SimpleNamespace) -> QubitState:
     given = [opt for opt in ("bloch", "wrt") if getattr(ns, opt, None) is not None]
     if len(given) != 1:
         raise ValueError("exactly one of --bloch or --wrt is required")
     if given[0] == "bloch":
         sx, sy, sz = _parse_triple(ns.bloch, "--bloch")
-        return QubitState.from_bloch(sx, sy, sz, eps_pos=cfg.tolerances["eps_pos"])
+        return QubitState.from_bloch(sx, sy, sz, eps_pos=ns.tolerance["eps_pos"])
     w, r, theta = _parse_triple(ns.wrt, "--wrt")
     return QubitState.from_weights(w, r, theta)
 
 
-def cmd_state(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
-    state = _state_from_args(ns, cfg)
-    audit = equivalence_audit(state, cfg.tolerances["eps_gap"])
+def cmd_state(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
+    state = _state_from_args(ns)
+    audit = equivalence_audit(state, ns.tolerance["eps_gap"])
     scalars: list[tuple[str, str]] = [
         ("sx", _fmt(state.bloch.sx)),
         ("sy", _fmt(state.bloch.sy)),
@@ -269,9 +245,9 @@ def cmd_state(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[
     return 0, fields, [_lines(["quantity,value", *(f"{k},{v}" for k, v in scalars)])]
 
 
-def cmd_mz(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
+def cmd_mz(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     _check_count("--phases", ns.phases, 8)
-    inside = apply_beam_splitter(_state_from_args(ns, cfg))
+    inside = apply_beam_splitter(_state_from_args(ns))
     try:
         scan = fringe_scan(inside, ns.phases)
     except MemoryError:  # fringe_scan names n_phases; the CLI names its flag
@@ -296,15 +272,15 @@ def cmd_mz(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str
     return 0, fields, csv
 
 
-def cmd_verify(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
+def cmd_verify(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     _check_count("--n", ns.n, 1)
     import numpy as np
 
-    eps_pos, eps_gap = cfg.tolerances["eps_pos"], cfg.tolerances["eps_gap"]
+    eps_pos, eps_gap = ns.tolerance["eps_pos"], ns.tolerance["eps_gap"]
     n_pure = ns.n // 2
     blocks = chain(
-        _pure_blocks(n_pure, cfg.seed, _BLOCK),
-        _mixed_blocks(ns.n - n_pure, cfg.seed + 1, _BLOCK),
+        _pure_blocks(n_pure, ns.seed, _BLOCK),
+        _mixed_blocks(ns.n - n_pure, ns.seed + 1, _BLOCK),
     )
     # each block is checked and audited on its own, and only its violations
     # are kept: the working set stays one block of arrays at any --n
@@ -339,7 +315,7 @@ def cmd_verify(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable
     return 0 if ok else 2, fields, csv
 
 
-def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
+def cmd_qscan(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     if not 0.0 < ns.qmin <= ns.qmax <= 2.0:
         raise ValueError(
             f"need 0 < qmin <= qmax <= 2 (pure-state reduction is concavity-"
@@ -350,7 +326,7 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[
     n = ns.steps - 1
     step = (ns.qmax - ns.qmin) / max(n, 1)
     qs = chain((ns.qmin + i * step for i in range(n)), [ns.qmax if n else ns.qmin])
-    band = cfg.tolerances["band_eps"]
+    band = ns.tolerance["band_eps"]
     rows = ((q, classify_regime(q, band), minimize_entropy_sum(q)) for q in qs)
     # a JSON row is json.dumps(row, indent=2) as an item of the top-level "rows" array
     row = (
@@ -369,7 +345,8 @@ def cmd_qscan(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[
     return 0, fields, chain(["q,regime,min_value,minimizers\n"], csv)
 
 
-def cmd_qstar(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
+def cmd_qstar(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
+    _check_tolerance("--tol", ns.tol)
     q_star = find_q_star(ns.tol)
     inv = 1.0 / math.sqrt(2.0)
     residual = entropy_sum(inv, inv, q_star) - LN2
@@ -377,7 +354,7 @@ def cmd_qstar(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[
     return 0, {"q_star": q_star, "residual": residual}, [_lines(lines)]
 
 
-def cmd_contour(ns: SimpleNamespace, cfg: RunConfig) -> tuple[int, dict, Iterable[str]]:
+def cmd_contour(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     cells = _grid_cells(ns.q, ns.n)
     axis, h = _grid_entropies(ns.q, ns.n)
     inner = "\n      "
@@ -472,14 +449,16 @@ def _check_choice(what: str, value: str, choices: Iterable[str]) -> None:
         raise ValueError(f"argument {what}: invalid choice: {value!r} (choose from {listed})")
 
 
-def _parse(argv: list[str]) -> tuple[Callable[..., tuple] | None, object, RunConfig | None]:
-    """The command to run, its options and the run's config, from argv.
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], tuple] | None, object]:
+    """The command to run and the namespace of every option it reads, from argv.
 
     An option is matched by its exact name, else by a unique prefix among
     the options valid at its position; it takes its value from "=VALUE" or
-    else from the next token, unless that starts with "--". -h/--help and
-    --version return None and the text to print. Usage errors raise
-    ValueError.
+    else from the next token, unless that starts with "--". Each option is
+    an attribute named after its flag; ``tolerance`` holds every tolerance,
+    the defaults with the --tolerance items applied in argv order.
+    -h/--help and --version return None and the text to print. Usage
+    errors raise ValueError.
     """
     command, table = "", _ROOT
     values: dict[str, object] = {}
@@ -504,7 +483,7 @@ def _parse(argv: list[str]) -> tuple[Callable[..., tuple] | None, object, RunCon
             if eq:
                 raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
             text = _help(command, table) if name == "--help" else f"mzduality {__version__}\n"
-            return None, text, None
+            return None, text
         if not eq:
             value = next(args, "--")
             if value.startswith("--"):
@@ -526,16 +505,16 @@ def _parse(argv: list[str]) -> tuple[Callable[..., tuple] | None, object, RunCon
     missing = [f"--{key}" for key, value in ns.items() if value is ...]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    cfg = _config(ns)
-    return _COMMANDS[command][0], SimpleNamespace(**ns), cfg
+    if not 0 <= ns["seed"] <= MAX_SEED:
+        raise ValueError(f"--seed must lie in [0, 2^64), got {ns['seed']}")
+    ns["tolerance"] = _tolerances(ns["tolerance"])
+    return _COMMANDS[command][0], SimpleNamespace(**ns)
 
 
-def _config(ns: dict[str, object]) -> RunConfig:
-    """The run's config from the parsed root options, which it removes from ns."""
-    cfg = RunConfig(ns.pop("seed"), ns.pop("format"), ns.pop("out"))
-    if not 0 <= cfg.seed <= MAX_SEED:
-        raise ValueError(f"--seed must lie in [0, 2^64), got {cfg.seed}")
-    for item in ns.pop("tolerance"):
+def _tolerances(items: list[str]) -> dict[str, float]:
+    """A fresh copy of TOLERANCE_DEFAULTS with the --tolerance items applied."""
+    tolerance = dict(TOLERANCE_DEFAULTS)
+    for item in items:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--tolerance expects NAME=VALUE, got {item!r}")
@@ -551,23 +530,23 @@ def _config(ns: dict[str, object]) -> RunConfig:
             raise ValueError(
                 f"tolerance {name} must be at least {EPS_GAP_FLOOR}, got {value!r}"
             )
-        cfg.tolerances[name] = v  # in argv order, so the last value of a name wins
-    return cfg
+        tolerance[name] = v  # in argv order, so the last value of a name wins
+    return tolerance
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        run, ns, cfg = _parse(argv)
+        run, ns = _parse(argv)
         if run is None:  # -h/--help or --version: ns is the text
             code = 0
             sys.stdout.write(ns)
         else:
-            code, fields, csv = run(ns, cfg)
-            if cfg.output_format == "json":
-                _write(cfg, _json_chunks({"meta": _meta_dict(cfg, argv), **fields}))
+            code, fields, csv = run(ns)
+            if ns.format == "json":
+                _write(ns.out, _json_chunks({"meta": _meta_dict(ns, argv), **fields}))
             else:
-                _write(cfg, chain([_lines(_meta_lines(cfg, argv))], csv))
+                _write(ns.out, chain([_lines(_meta_lines(ns, argv))], csv))
         sys.stdout.flush()  # a pipe closed before the last write breaks here, not at exit
         return code
     except BrokenPipeError:

@@ -187,6 +187,11 @@ def minimize_entropy_sum(q: float) -> MinimizationResult:
     return MinimizationResult(q=q, min_value=min_value, minimizers=minimizers, regime=regime)
 
 
+def _check_tolerance(name: str, tolerance: float) -> None:
+    if not 1e-14 <= tolerance <= 1e-3:
+        raise ValueError(f"{name} must lie in [1e-14, 1e-3], got {tolerance!r}")
+
+
 @functools.lru_cache(maxsize=None)
 def find_q_star(tolerance: float = 1e-10) -> float:
     """Solve 2 H_q(1/sqrt 2) = ln 2 for the critical index q*.
@@ -198,8 +203,7 @@ def find_q_star(tolerance: float = 1e-10) -> float:
     defining equation there is at most about 0.14 * tolerance (the slope
     of the objective at q* is about -0.27).
     """
-    if not 1e-14 <= tolerance <= 1e-3:
-        raise ValueError(f"tolerance must lie in [1e-14, 1e-3], got {tolerance!r}")
+    _check_tolerance("tolerance", tolerance)
 
     def g(q: float) -> float:
         return 2.0 * _bias_entropy(_INV_SQRT2, q) - LN2
@@ -273,7 +277,7 @@ def _arc_sums(a, q):
 
 
 def _up(b):
-    """Biases moved outward by up to 16 ulps, capped at 1, so they bound a bias rounded near b."""
+    """Normal biases moved out by 16 to 32 ulps, capped at 1, so they bound a bias rounded near b."""
     import numpy as np
 
     return np.minimum(b * (1.0 + 2.0**-48), 1.0)
@@ -405,11 +409,11 @@ class ContourGrid(_Record):
         return float(self.values[i, j])
 
 
-def _check_grid(q: float, n: int) -> None:
+def _check_grid(q: float, n: int, n_name: str = "n") -> None:
     _check_q(q)
     if q == math.inf:
         raise ValueError(f"contour grids require a finite Renyi index q, got {q!r}")
-    _check_count("n", n, 32)
+    _check_count(n_name, n, 32)
 
 
 def _grid_entropies(q: float, n: int) -> tuple[list[float], list[float]]:

@@ -124,6 +124,69 @@ MUTANTS = [
         "s[_ball_bounds(cells, s) <= math.inf]",
         ["tests/test_entropic.py", "-k", "prunes_most"],
     ),
+    # biases are not moved out, so a bound can exceed a sum at a rounded bias
+    (
+        "entropic.py",
+        "return np.minimum(b * (1.0 + 2.0**-48), 1.0)",
+        "return b",
+        ["tests/test_entropic.py", "-k", "up_moves"],
+    ),
+    # a q exactly band_eps from q* falls out of regime II
+    (
+        "entropic.py",
+        "abs(q - q_star) <= band_eps",
+        "abs(q - q_star) < band_eps",
+        ["tests/test_entropic.py", "-k", "band_is_closed"],
+    ),
+    # round-off past [0, ln 2], and -0.0, reach the caller unclamped
+    (
+        "entropic.py",
+        "return xp.clip(h, 0.0, LN2) + 0.0",
+        "return h + 0.0",
+        ["tests/test_entropic.py", "-k", "expm1_band"],
+    ),
+    # q = 1 takes the expm1 branch, which divides by q - 1 = 0
+    (
+        "entropic.py",
+        "elif q == 1.0:",
+        "elif False:",
+        ["tests/test_entropic.py", "-k", "TestRenyiEntropy"],
+    ),
+    # the fringe at detector 1 turns the Bloch vector the wrong way
+    (
+        "interferometer.py",
+        "(1.0 - (sx * c - sy * sn))",
+        "(1.0 - (sx * c + sy * sn))",
+        ["tests/test_interferometer.py", "-k", "matches_element_functions"],
+    ),
+    # candidates a round-off above the minimum are dropped from the minimizers
+    (
+        "entropic.py",
+        "val <= min_value + MINIMIZER_VALUE_TOL",
+        "val <= min_value",
+        ["tests/test_entropic.py", "-k", "triple_set"],
+    ),
+    # a bool passes as the count 0 or 1
+    (
+        "qubit.py",
+        'isinstance(n, bool) or not hasattr(n, "__index__")',
+        'not hasattr(n, "__index__")',
+        ["tests/test_entropic.py", "-k", "counts_must_be_integers"],
+    ),
+    # a block of the table takes one row too many
+    (
+        "cli.py",
+        "islice(rows, _ROW_BLOCK - 1)",
+        "islice(rows, _ROW_BLOCK)",
+        ["tests/test_cli.py", "-k", "rows_in_blocks"],
+    ),
+    # the contour cells below the diagonal are never filled
+    (
+        "cli.py",
+        "        cells[k + i :: n] = upper\n",
+        "",
+        ["tests/test_cli.py", "-k", "golden and contour"],
+    ),
 ]
 
 

@@ -120,12 +120,13 @@ def reference_parse(argv: list[str]) -> str | None:
 def table_parse(argv: list[str]) -> str | None:
     """The table parser's result in reference_parse's form, or None where it refused argv."""
     try:
-        run_command, ns, cfg = _parse(argv)
+        run_command, ns = _parse(argv)
     except ValueError:
         return None
+    own = dict(vars(ns))
+    common = [own.pop(key) for key in ("seed", "format", "out", "tolerance")]
     command = run_command.__name__.removeprefix("cmd_")
-    common = (command, cfg.seed, cfg.output_format, cfg.output_path)
-    return repr((*common, sorted(vars(ns).items()), sorted(cfg.tolerances.items())))
+    return repr((command, *common[:3], sorted(own.items()), sorted(common[3].items())))
 
 
 # -- the argv sweep ------------------------------------------------------------
@@ -268,9 +269,9 @@ def test_argv_sweep(sweep_dir, argv):
         return
     assert err == ""
     if code == 0:
-        _, _, cfg = _parse(argv)
-        if cfg.output_path is not None:
-            out = (sweep_dir / cfg.output_path).read_text(encoding="utf-8")
+        path = _parse(argv)[1].out
+        if path is not None:
+            out = (sweep_dir / path).read_text(encoding="utf-8")
         assert non_finite_numbers(out) == []
 
 
@@ -293,7 +294,7 @@ def test_argv_sweep(sweep_dir, argv):
     ],
 )
 def test_options_by_name_prefix_and_value_spelling(argv, want):
-    run_command, ns, _ = _parse(argv)
+    run_command, ns = _parse(argv)
     command, key, value = want
     assert run_command is _COMMANDS[command][0]
     assert getattr(ns, key) == value
@@ -309,8 +310,8 @@ def test_options_by_name_prefix_and_value_spelling(argv, want):
     ],
 )
 def test_tol_abbreviates_tolerance_where_no_option_is_named_tol(argv):
-    _, ns, cfg = _parse(argv)
-    assert cfg.tolerances["eps_gap"] == 0.3
+    _, ns = _parse(argv)
+    assert ns.tolerance["eps_gap"] == 0.3
     assert getattr(ns, "tol", 1e-10) == 1e-10
 
 
@@ -363,19 +364,32 @@ def test_tolerances_from_both_sides_of_the_command_accumulate(capsys):
     assert "eps_gap=9.9999999999999995e-07 " in out.splitlines()[3]
 
 
+def test_each_parse_resolves_a_fresh_tolerance_dict(monkeypatch):
+    defaults = dict(TOLERANCE_DEFAULTS)
+    first = _parse(["--tolerance", "eps_gap=0.3", "verify", "--tolerance=eps_gap=0.4"])[1].tolerance
+    second = _parse(["verify"])[1].tolerance
+    assert first == {**defaults, "eps_gap": 0.4} and second == defaults
+    assert first is not second and second is not TOLERANCE_DEFAULTS
+    second["eps_pos"] = 0.5  # a run's dict is its own
+    assert TOLERANCE_DEFAULTS == defaults
+    # the defaults are read at each parse, not when the module is imported
+    monkeypatch.setitem(TOLERANCE_DEFAULTS, "eps_gap", 1e-18)
+    assert _parse(["verify"])[1].tolerance["eps_gap"] == 1e-18
+
+
 @pytest.mark.parametrize(
     ("before", "after", "field", "want"),
     [
         (["--seed", "1"], ["--seed", "2"], "seed", 2),
         (["--seed", "2"], ["--se=3"], "seed", 3),
-        (["--format", "json"], ["--format", "csv"], "output_format", "csv"),
-        (["--format=csv"], ["--f", "json"], "output_format", "json"),
-        (["--out", "a"], ["--out", "b"], "output_path", "b"),
+        (["--format", "json"], ["--format", "csv"], "format", "csv"),
+        (["--format=csv"], ["--f", "json"], "format", "json"),
+        (["--out", "a"], ["--out", "b"], "out", "b"),
     ],
 )
 def test_root_options_given_on_both_sides_keep_the_last(before, after, field, want):
-    _, _, cfg = _parse([*before, "verify", *after])
-    assert getattr(cfg, field) == want
+    _, ns = _parse([*before, "verify", *after])
+    assert getattr(ns, field) == want
 
 
 def test_help_and_version_come_before_later_errors(capsys):

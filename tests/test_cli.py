@@ -35,7 +35,6 @@ from mzduality import cli, qubit
 from mzduality.cli import (
     _JSON_ITEM_SEP,
     _ROW_BLOCK,
-    RunConfig,
     _json_chunks,
     _JsonArray,
     _meta_dict,
@@ -268,7 +267,7 @@ def test_reused_parser_starts_each_run_from_the_defaults(capsys, where):
     assert (meta["seed"], meta["tolerances"]["eps_gap"]) == (7, 0.3)
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out.splitlines()[2:4] == _meta_lines(RunConfig(), argv)[2:4]
+    assert out.splitlines()[2:4] == _meta_lines(cli._parse(argv)[1], argv)[2:4]
 
 
 def test_mz_fringe_csv(capsys):
@@ -395,7 +394,7 @@ def test_verify_rejects_zero_states(capsys):
     assert code == 1
 
 
-def reference_verify(ns, cfg):
+def reference_verify(ns):
     """The whole-array `verify`: every state sampled, checked and audited at once.
 
     Its samplers are held to one whole draw by test_entropic's
@@ -404,9 +403,9 @@ def reference_verify(ns, cfg):
     if ns.n < 1:
         raise ValueError(f"--n must be at least 1, got {ns.n}")
     n_pure = ns.n // 2
-    rows = [random_pure_bloch(n_pure, cfg.seed), random_mixed_bloch(ns.n - n_pure, cfg.seed + 1)]
-    s = _checked_rows(np.vstack(rows), cfg.tolerances["eps_pos"])
-    audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), cfg.tolerances["eps_gap"])
+    rows = [random_pure_bloch(n_pure, ns.seed), random_mixed_bloch(ns.n - n_pure, ns.seed + 1)]
+    s = _checked_rows(np.vstack(rows), ns.tolerance["eps_pos"])
+    audit = pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), ns.tolerance["eps_gap"])
     bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
     violations = [
         (
@@ -500,6 +499,17 @@ def test_qstar_bad_tolerance(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["contour", "--n", "3"], "--n must be at least 32, got 3"),
+        (["qstar", "--tol", "1"], "--tol must lie in [1e-14, 1e-3], got 1.0"),
+    ],
+)
+def test_refusals_name_the_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"mzduality: error: {message}\n")
+
+
 def test_qscan_regimes(capsys):
     code, out, _ = run(capsys, "qscan", "--qmin", "0.5", "--qmax", "2.0", "--steps", "4")
     assert code == 0
@@ -535,7 +545,7 @@ def test_qscan_validation(capsys):
     assert code == 1
 
 
-def reference_qscan(ns, cfg):
+def reference_qscan(ns):
     """The whole-table qscan: every row computed, then returned as one list or text."""
     if ns.steps == 1:
         qs = [ns.qmin]
@@ -543,7 +553,7 @@ def reference_qscan(ns, cfg):
         step = (ns.qmax - ns.qmin) / (ns.steps - 1)
         qs = [ns.qmin + i * step for i in range(ns.steps)]
         qs[-1] = ns.qmax
-    rows = [(q, classify_regime(q, cfg.tolerances["band_eps"]), minimize_entropy_sum(q)) for q in qs]
+    rows = [(q, classify_regime(q, ns.tolerance["band_eps"]), minimize_entropy_sum(q)) for q in qs]
     table = [
         {
             "q": q,
@@ -1045,14 +1055,14 @@ COMMAND_ARGV = {
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_a_command_returns_its_output_and_only_main_writes(capsys, command, fmt):
     argv = ["--format", fmt, *COMMAND_ARGV[command]]
-    run_command, ns, cfg = cli._parse(argv)
-    code, fields, csv = run_command(ns, cfg)
+    run_command, ns = cli._parse(argv)
+    code, fields, csv = run_command(ns)
     assert type(code) is int and type(fields) is dict and "meta" not in fields
     # the two bodies may read one row generator, so only the format's own is taken
     if fmt == "json":
-        want = "".join(_json_chunks({"meta": _meta_dict(cfg, argv), **fields}))
+        want = "".join(_json_chunks({"meta": _meta_dict(ns, argv), **fields}))
     else:
-        want = cli._lines(_meta_lines(cfg, argv)) + "".join(csv)
+        want = cli._lines(_meta_lines(ns, argv)) + "".join(csv)
     assert capsys.readouterr() == ("", "")  # taking the body writes nothing either
     assert run(capsys, *argv) == (code, want, "")
 
@@ -1117,14 +1127,14 @@ def _reference_contour(argv: list[str], fmt: str, q: float, n: int) -> str:
     grid = contour_grid(q, n)
     if fmt == "json":
         return _reference_json({
-            "meta": _meta_dict(RunConfig(), argv),
+            "meta": _meta_dict(cli._parse(argv)[1], argv),
             "q": grid.q,
             "n": grid.n,
             "constraint": grid.constraint,
             "axis": [float(a) for a in grid.axis],
             "values": [[float(x) for x in row] for row in grid.values],
         })
-    lines = _meta_lines(RunConfig(), argv) + [
+    lines = _meta_lines(cli._parse(argv)[1], argv) + [
         f"# q: {_fmt17(grid.q)}",
         f"# n: {grid.n}",
         f"# constraint: {grid.constraint}",
@@ -1142,14 +1152,14 @@ def _reference_mz(argv: list[str], fmt: str, bloch: str, phases: int) -> str:
     rows = list(zip(scan.phases, scan.p_d1, scan.p_d2))
     if fmt == "json":
         return _reference_json({
-            "meta": _meta_dict(RunConfig(), argv),
+            "meta": _meta_dict(cli._parse(argv)[1], argv),
             "rows": [{"phi": phi, "p_d1": p1, "p_d2": p2} for phi, p1, p2 in rows],
             "p_max": scan.p_max,
             "p_min": scan.p_min,
             "v_operational": scan.v_operational,
             "visibility_analytic": visibility(inside),
         })
-    lines = _meta_lines(RunConfig(), argv) + ["phi,p_d1,p_d2"]
+    lines = _meta_lines(cli._parse(argv)[1], argv) + ["phi,p_d1,p_d2"]
     lines += [f"{_fmt17(phi)},{_fmt17(p1)},{_fmt17(p2)}" for phi, p1, p2 in rows]
     lines += [
         f"# p_max: {_fmt17(scan.p_max)}",

@@ -53,6 +53,7 @@ from mzduality.entropic import (
     _mixed_blocks,
     _pure_blocks,
     _state_entropy_sum,
+    _up,
 )
 
 INV_SQRT2 = 2.0**-0.5
@@ -281,8 +282,9 @@ class TestCriticalIndex:
         assert find_q_star(1e-10) == find_q_star(1e-10)
 
     def test_tolerance_validation(self):
+        message = r"^tolerance must lie in \[1e-14, 1e-3\], got "
         for tol in (0.0, 1e-15, 1e-2, -1.0):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"{message}{tol}$"):
                 find_q_star(tol)
 
     def test_tighter_tolerance_stays_consistent(self):
@@ -302,6 +304,12 @@ class TestClassifyRegime:
         assert classify_regime(q_star + 2e-6) == "III"
         assert classify_regime(q_star - 2e-6) == "I"
         assert classify_regime(q_star + 2e-6, band_eps=1e-5) == "II"
+
+    def test_band_is_closed(self):
+        # a q exactly band_eps from q* lies in the band, below q* and above it
+        q_star = find_q_star(1e-12)
+        for q in (0.5, 1.6):
+            assert classify_regime(q, abs(q - q_star)) == "II"
 
     def test_validation(self):
         for q in (0.0, 2.1, math.inf):
@@ -348,6 +356,17 @@ class TestBruteForce:
         before = threading.active_count()
         brute_force_min(1.7, 10**5, include_mixed, seed=3)
         assert threading.active_count() == before
+
+    def test_up_moves_a_bias_outward(self):
+        # a normal bias moves out by 16 to 32 ulps, which clears the few ulps
+        # a computed bias may lie below the exact one; subnormals may stay put
+        b = np.array([2.2250738585072014e-308, 1e-300, 0.3, 0.5, 0.75, 0.999, 1.0 - 2.0**-47])
+        up = _up(b)
+        assert np.all(up - b >= 16 * np.spacing(b)) and np.all(up - b <= 32 * np.spacing(b))
+        assert float(_up(0.5)) == 0.5 + 16 * math.ulp(0.5)
+        # near 1 the move is capped: no bias exceeds 1
+        top = np.array([1.0 - 2.0**-48, 1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0])
+        assert np.all(_up(top) == 1.0)
 
     # the bounds must hold for the computed sums, not only for the exact ones
     @pytest.mark.parametrize("n", [10_000, 250_001])

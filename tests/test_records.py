@@ -30,7 +30,7 @@ from mzduality import (
     RegionMinimum,
     UncertaintyVerdict,
 )
-from mzduality.cli import RunConfig, _JsonArray
+from mzduality.cli import _JsonArray
 from mzduality.qubit import _Record
 
 VEC = BlochVector(0.6, 0.0, 0.8)
@@ -275,48 +275,6 @@ class TestContourGrid:
             assert np.array_equal(twin.axis, self.AXIS) and np.array_equal(twin.values, self.VALUES)
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert (cfg.seed, cfg.output_format, cfg.output_path) == (0, "csv", None)
-        assert cfg.tolerances == {"eps_pos": 1e-09, "eps_gap": 1e-09, "band_eps": 1e-06}
-        assert RunConfig().tolerances is not cfg.tolerances  # a fresh dict per config
-        assert repr(cfg) == (
-            "RunConfig(seed=0, output_format='csv', output_path=None,"
-            " tolerances={'eps_pos': 1e-09, 'eps_gap': 1e-09, 'band_eps': 1e-06})"
-        )
-
-    def test_positional_and_keyword_construction(self):
-        tol = {"eps_gap": 0.5}
-        cfg = RunConfig(7, "json", None, tol)
-        assert cfg == RunConfig(seed=7, output_format="json", tolerances={"eps_gap": 0.5})
-        assert cfg.tolerances is tol
-        assert repr(cfg) == (
-            "RunConfig(seed=7, output_format='json', output_path=None, tolerances={'eps_gap': 0.5})"
-        )
-        assert list(inspect.signature(RunConfig).parameters) == [
-            "seed", "output_format", "output_path", "tolerances"
-        ]
-
-    def test_mutable_and_unhashable(self):
-        cfg = RunConfig()
-        cfg.seed = 3
-        cfg.tolerances["eps_gap"] = 0.5
-        assert cfg == RunConfig(3, tolerances={"eps_pos": 1e-09, "eps_gap": 0.5, "band_eps": 1e-06})
-        assert cfg != RunConfig() and not cfg == RunConfig()
-        assert cfg != (3, "csv", None, cfg.tolerances)
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(cfg)
-        del cfg.output_path
-        assert "output_path" not in vars(cfg)
-
-    def test_pickle_and_copy(self):
-        cfg = RunConfig(5, "json")
-        for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg)):
-            assert type(twin) is RunConfig and twin == cfg
-        assert copy.copy(cfg).tolerances is cfg.tolerances  # shallow
-
-
 def all_records(cls=_Record):
     for sub in cls.__subclasses__():
         yield sub
@@ -326,7 +284,7 @@ def all_records(cls=_Record):
 def test_every_record_is_pinned():
     # a new record must join FROZEN or get its own test class, so that its
     # equality, hash, pickle and immutability are checked like the others'
-    own_tests = {ContourGrid: TestContourGrid, RunConfig: TestRunConfig}
+    own_tests = {ContourGrid: TestContourGrid}
     pinned = {case[0] for case in FROZEN} | set(own_tests)
     records = {cls for cls in all_records() if cls.__module__.startswith("mzduality")}
     assert ContourGrid in records and _JsonArray in records
