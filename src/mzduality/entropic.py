@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
+from itertools import chain, starmap
 
 from .qubit import (
     BlochObservable,
@@ -343,6 +343,21 @@ def _ball_bounds(cells, s):
     return cells[index(np.abs(z)), index(x * x + y * y)]
 
 
+def _norm_floor(cells, cut: float) -> float:
+    """A floor on ``_row_norms_sq`` of every ball row whose cell bound is at most cut.
+
+    A row in cell (i, j) has |z| >= i / _CELLS and a computed x*x + y*y >=
+    j / _CELLS, and rounding is monotone, so its computed squared norm is at
+    least (i / _CELLS)**2 + j / _CELLS, which is exact. A row below the
+    smallest such sum over the cells within cut lies in a cell above cut.
+    inf if no cell is within cut.
+    """
+    import numpy as np
+
+    i, j = np.nonzero(cells <= cut)
+    return float(((i / _CELLS) ** 2 + j / _CELLS).min(initial=math.inf))
+
+
 def brute_force_min(
     q: float, n_states: int, include_mixed: bool, *, seed: int = 0
 ) -> float:
@@ -362,10 +377,16 @@ def brute_force_min(
     cos and sin are monotone on a run of ``_RUN`` consecutive arc angles,
     and a ball row's bound is taken at the top of its |z| and x^2 + y^2
     cell. Bounds move biases a few ulps outward, and a state is skipped
-    only if its bound exceeds the threshold (three arc states for the arc,
-    the running minimum for the ball) by more than ``_SLACK``, which covers
-    the rounding of the entropy sums. The arc runs first, then the ball, on
-    the calling thread, in blocks, so memory is O(_BLOCK) at any n_states.
+    only if its bound exceeds a fixed cut by more than ``_SLACK``, which
+    covers the rounding of the entropy sums. The arc's cut is the smallest
+    sum at three arc states, which only prunes and is never returned; the
+    ball's is the arc's minimum. Most ball rows are dropped by one
+    comparison of the squared norm that the in-ball test computes: a row
+    below ``_norm_floor`` lies in a cell above the cut. Only the rest are
+    looked up in the cell table, and the rows it keeps are gathered across
+    draws and evaluated about ``_BLOCK`` at a time. The arc runs first,
+    then the ball, on the calling thread, so memory is O(_BLOCK) at any
+    n_states.
     """
     _check_q_minimization(q)
     _check_count("n_states", n_states, 10_000)
@@ -373,11 +394,36 @@ def brute_force_min(
     if not include_mixed:
         return best
     cells = _cell_bounds(q)
-    for s in _mixed_blocks(n_states, seed, _BLOCK):
-        s = s[_ball_bounds(cells, s) <= best + _SLACK]
+    cut = best + _SLACK
+    floor = _norm_floor(cells, cut)
+    rows = starmap(
+        lambda block, r2, inside: block.compress(inside & (r2 >= floor), axis=0),
+        _cube_blocks(n_states, seed, _BLOCK),
+    )
+    for s in _rebatched(rows, _BLOCK):
+        s = s[_ball_bounds(cells, s) <= cut]
         if len(s):
             best = min(best, float(_state_entropy_sum(*s.T, q).min()))
     return best
+
+
+def _rebatched(pieces, rows: int):
+    """Yield the rows of the arrays from ``pieces``, in order, in batches of about ``rows``.
+
+    A batch is yielded once it holds at least ``rows`` rows, and the rest at
+    the end, so at most ``rows`` rows plus one piece are held at a time.
+    """
+    import numpy as np
+
+    batch, have = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        have += len(piece)
+        if have >= rows:
+            joined, batch, have = np.concatenate(batch), [], 0
+            yield joined
+    if have:
+        yield np.concatenate(batch)
 
 
 class ContourGrid(_Record):
@@ -547,27 +593,53 @@ def _pure_blocks(n: int, seed: int, rows: int):
         yield v
 
 
-def _mixed_blocks(n: int, seed: int, rows: int):
-    """Yield the rows of ``random_mixed_bloch(n, seed)`` in order, in blocks.
+def _cube_blocks(n: int, seed: int, rows: int):
+    """The cube draws behind ``random_mixed_bloch(n, seed)``: an iterator of (block, r2, inside).
 
-    Each block holds the rows kept from one draw of at most ``2 * rows``
-    cube points, about 1.05 ``rows`` of them. The samples are the first n
-    rows of the seeded stream of cube points that fall in the ball. A
-    uniform draw takes one double per element, so the draw sizes,
+    ``block`` is one draw of at most ``2 * rows`` cube points, ``r2`` its
+    ``_row_norms_sq`` and ``inside`` the mask of its rows that are among the
+    first n rows of the seeded stream of cube points that fall in the ball.
+    A uniform draw takes one double per element, so the draw sizes,
     ``2 * min(max(n - have, 64), rows)`` rows, change only how far past the
-    n-th kept row the generator runs.
+    n-th kept row the draws run.
+
+    Only the caller holds a draw's arrays. A generator would hold them too
+    while the caller works, which raised ``verify``'s heap enough for the C
+    allocator to return pages and fault them in again on every call.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     have = 0
-    while have < n:
+
+    def draw():
+        nonlocal have
+        if have >= n:
+            return None
         block = rng.random(size=(2 * min(max(n - have, 64), rows), 3))
         block *= 2.0  # exact, so this is uniform(-1, 1)'s -1 + 2u
         block -= 1.0
-        block = block.compress(_row_norms_sq(block) <= 1.0, axis=0)[: n - have]
-        have += len(block)
-        yield block
+        r2 = _row_norms_sq(block)
+        inside = r2 <= 1.0
+        kept = int(np.count_nonzero(inside))
+        if kept > n - have:  # the rows past the n-th in the ball are not samples
+            inside[np.flatnonzero(inside)[n - have :]] = False
+            kept = n - have
+        have += kept
+        return block, r2, inside
+
+    return iter(draw, None)
+
+
+def _mixed_blocks(n: int, seed: int, rows: int):
+    """The rows of ``random_mixed_bloch(n, seed)`` in order: an iterator of blocks.
+
+    Each block holds the in-ball rows of one ``_cube_blocks`` draw, about
+    1.05 ``rows`` of them. ``starmap``, unlike a loop, keeps no draw while
+    the caller works on a block.
+    """
+    draws = _cube_blocks(n, seed, rows)
+    return starmap(lambda block, _, inside: block.compress(inside, axis=0), draws)
 
 
 def _gathered(n: int, blocks) -> np.ndarray:

@@ -187,9 +187,10 @@ class BlochVector(_Record):
 
     Norms in (1, 1 + eps_pos] are renormalized to exactly 1 to absorb
     round-off from rotation compositions; anything larger is rejected
-    because it does not describe a positive density operator. eps_pos is
-    read, and refused by name if NaN, negative or infinite, only for a norm
-    above 1.
+    because it does not describe a positive density operator. A NaN
+    component is refused by its name. Both checks, and the read of eps_pos,
+    which is refused by name if NaN, negative or infinite, run only for a
+    norm above 1 or NaN.
     """
 
     sx: float
@@ -200,6 +201,9 @@ class BlochVector(_Record):
         sx, sy, sz = float(sx), float(sy), float(sz)
         n = math.sqrt(sx * sx + sy * sy + sz * sz)
         if not n <= 1.0:  # NaN components too
+            for name, x in (("sx", sx), ("sy", sy), ("sz", sz)):
+                if math.isnan(x):
+                    raise ValueError(f"Bloch component {name} is NaN")
             _check_nonnegative("eps_pos", eps_pos)
             if not n <= 1.0 + eps_pos:
                 raise ValueError(

@@ -61,6 +61,13 @@ MUTANTS = [
         "over = norm > 1.0 + 2.0**-52",
         ["tests/test_cli.py", "-k", "verify"],
     ),
+    # a NaN component is refused as a norm above 1, not by its name
+    (
+        "qubit.py",
+        "if math.isnan(x):",
+        "if False:",
+        ["tests/test_qubit.py", "-k", "nan"],
+    ),
     # a row of norm exactly 1 + eps_pos is refused, where BlochVector takes it
     (
         "qubit.py",
@@ -120,9 +127,24 @@ MUTANTS = [
     ),
     (
         "entropic.py",
-        "s[_ball_bounds(cells, s) <= best + _SLACK]",
+        "s[_ball_bounds(cells, s) <= cut]",
         "s[_ball_bounds(cells, s) <= math.inf]",
         ["tests/test_entropic.py", "-k", "prunes_most"],
+    ),
+    # the ball's norm floor is taken over the cells within the cut at their
+    # largest corner, or at the top of each cell's |z| range: rows of cells
+    # within the cut fall below it and are dropped
+    (
+        "entropic.py",
+        "(i / _CELLS) ** 2 + j / _CELLS).min(initial=math.inf)",
+        "(i / _CELLS) ** 2 + j / _CELLS).max(initial=0.0)",
+        ["tests/test_entropic.py", "-k", "norm_floor"],
+    ),
+    (
+        "entropic.py",
+        "(i / _CELLS) ** 2 + j / _CELLS).min(",
+        "((i + 1) / _CELLS) ** 2 + j / _CELLS).min(",
+        ["tests/test_entropic.py", "-k", "norm_floor"],
     ),
     # biases are not moved out, so a bound can exceed a sum at a rounded bias
     (

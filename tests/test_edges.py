@@ -82,7 +82,7 @@ RELATION = dict(obs_a=SIGMA_Z, obs_b=SIGMA_X, state=STATE)
 
 # (callable, its other arguments, the parameter swept, the names its error may give)
 SWEEP = [
-    *[(f, VECTOR, name, ("||s||",)) for f in (BlochVector, QubitState.from_bloch)
+    *[(f, VECTOR, name, ("||s||", name)) for f in (BlochVector, QubitState.from_bloch)
       for name in ("sx", "sy", "sz")],
     *[(f, OVER, "eps_pos", ("eps_pos", "||s||")) for f in (BlochVector, QubitState.from_bloch)],
     (QubitState.from_weights, dict(w_plus=0.5, r=0.25, theta=0.3), "w_plus", ("w_plus", "||s||")),

@@ -44,17 +44,21 @@ from mzduality.entropic import (
     _BLOCK,
     _REGION_BLOCK,
     _RUN,
+    _SLACK,
     _arc_bounds,
+    _arc_min,
     _arc_sums,
     _ball_bounds,
     _bias_entropy,
     _cell_bounds,
     _linspace_blocks,
     _mixed_blocks,
+    _norm_floor,
     _pure_blocks,
     _state_entropy_sum,
     _up,
 )
+from mzduality.qubit import _row_norms_sq
 
 INV_SQRT2 = 2.0**-0.5
 TWO_LN2 = 2.0 * LN2
@@ -384,6 +388,19 @@ class TestBruteForce:
         bounds = _ball_bounds(_cell_bounds(q), s)
         assert np.all(bounds <= _state_entropy_sum(*s.T, q))
 
+    # the rows the oracle drops by their squared norm alone lie in cells
+    # whose bound exceeds its cut, so the cell bounds would drop them too
+    @pytest.mark.parametrize("n", [10_000, 250_001])
+    @pytest.mark.parametrize("q", [0.25, 0.3, 1.0, 1.05, Q_STAR - 1e-7, Q_STAR + 1e-7, 2.0])
+    def test_ball_norm_floor_is_sound(self, q, n):
+        s = random_mixed_bloch(n, 3)
+        cells = _cell_bounds(q)
+        cut = _arc_min(q, n) + _SLACK
+        bounds = _ball_bounds(cells, s)
+        below = _row_norms_sq(s) < _norm_floor(cells, cut)
+        assert below.any() and np.all(bounds[below] > cut)
+        assert np.any(bounds <= cut)  # and some rows lie in cells within the cut
+
     def test_prunes_most_states(self, monkeypatch):
         evaluated = {"arc": 0, "ball": 0}
 
@@ -399,7 +416,8 @@ class TestBruteForce:
         monkeypatch.setattr(entropic, "_arc_sums", arc_sums)
         monkeypatch.setattr(entropic, "_state_entropy_sum", state_sums)
         brute_force_min(1.7, 10**6, True, seed=3)
-        # about 4.2 % of the arc's angles and 0.7 % of the ball's rows
+        # about 4.2 % of the arc's angles and 0.7 % of the ball's rows; the
+        # norm floor alone would leave 5.5 % of the ball's rows
         assert evaluated["arc"] < 0.05 * 10**6
         assert evaluated["ball"] < 0.05 * 10**6
 
@@ -594,9 +612,9 @@ class TestMemoryBound:
             tracemalloc.stop()
 
     def test_brute_force_min(self):
-        # one block of ball temporaries, or one block of arc angles or run
-        # bounds; no arc grid is held. About 1.6 MB on the first call in a
-        # process, 0.8 MB on later calls
+        # one block of cube draws with its norms, its temporaries and one
+        # gathered batch of rows, or one block of arc angles or run bounds;
+        # no arc grid is held. About 1.3 MB
         assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
 
     def test_constrained_min_over_region(self):

@@ -23,7 +23,7 @@ from mzduality import (
     probabilities,
     variance,
 )
-from mzduality.qubit import _Floats
+from mzduality.qubit import EPS_POS, _checked_rows, _Floats
 
 INV_SQRT2 = 2.0**-0.5
 SIGMA_Z = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0))
@@ -39,10 +39,30 @@ class TestBlochVector:
         with pytest.raises(ValueError):
             BlochVector(0.0, 0.0, 1.0 + 1e-8)
 
-    @pytest.mark.parametrize("s", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.5), (0.1, 0.2, math.nan)])
+    @pytest.mark.parametrize(
+        "s",
+        [
+            (math.nan, 0.0, 0.0),
+            (0.0, math.nan, 0.5),
+            (0.1, 0.2, math.nan),
+            (math.inf, math.nan, 0.0),
+            (math.nan, math.nan, math.nan),
+        ],
+    )
     def test_rejects_nan_components(self, s):
-        with pytest.raises(ValueError, match="Bloch norm"):
-            BlochVector(*s)
+        # the first NaN component is named; an eps_pos is not read before it
+        name = ("sx", "sy", "sz")[[math.isnan(x) for x in s].index(True)]
+        for eps_pos in (EPS_POS, math.nan):
+            with pytest.raises(ValueError, match=f"^Bloch component {name} is NaN$"):
+                BlochVector(*s, eps_pos=eps_pos)
+            with pytest.raises(ValueError, match=f"^Bloch component {name} is NaN$"):
+                QubitState.from_bloch(*s, eps_pos=eps_pos)
+
+    def test_checked_rows_name_a_nan_component(self):
+        # the array path raises through BlochVector for its first bad row
+        rows = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, math.nan], [math.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^Bloch component sz is NaN$"):
+            _checked_rows(rows)
 
     def test_renormalizes_marginal_overshoot(self):
         v = BlochVector(0.0, 0.0, 1.0 + 5e-10)
