@@ -288,7 +288,7 @@ def cmd_verify(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     start = 0
     for rows in blocks:
         s = _checked_rows(rows, eps_pos)
-        # checked rows give finite, nonnegative P and V, so pv_audit's check is skipped
+        # checked rows give P and V in [0, 1 + 2**-52], so pv_audit's check is skipped
         audit = _pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), eps_gap)
         bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
         violations += [

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, starmap
+from itertools import chain, compress, count, starmap
 
 from .qubit import (
     BlochObservable,
@@ -33,6 +33,7 @@ from .qubit import (
     _check_count,
     _check_finite,
     _check_nonnegative,
+    _checked_bloch,
     _checked_rows,
     _Record,
     _row_norms_sq,
@@ -56,7 +57,7 @@ _HALF_PI = math.pi / 2.0
 # below glibc's default mmap threshold, so its temporaries reuse heap pages
 _BLOCK = 1 << 13
 # candidate rows per block of the region minimizer: a block's rows, their
-# Python floats and its arrays trace about 1.2 MB (1.5 MB at 3 * 10**5 samples)
+# Python floats and its arrays trace about 0.4 MB
 _REGION_BLOCK = 1 << 11
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # the oracle's pruning: arc angles per run that share one lower bound, cells
@@ -516,7 +517,7 @@ def constrained_min_over_region(
     """Minimize H_q(P) + H_q(V) over states accepted by a region predicate.
 
     ``region`` is a callable BlochVector -> bool, called once per candidate
-    in candidate order. Candidates mix a
+    in candidate order; its result is read by truthiness. Candidates mix a
     deterministic great-circle sweep in the x-z plane (hitting the cardinal
     states exactly), a seeded uniform sample of the sphere, and a seeded
     uniform sample of the ball, roughly n_samples in total. Raises if the
@@ -524,7 +525,9 @@ def constrained_min_over_region(
 
     The candidates are made and ranked in blocks of ``_REGION_BLOCK`` rows
     (ball blocks: the rows kept from ``2 * _REGION_BLOCK`` draws) in one
-    pass, so memory is O(_REGION_BLOCK) at any n_samples.
+    pass, so memory is O(_REGION_BLOCK) at any n_samples. Each block takes
+    the norm rule, then one record per row for the predicate, then the
+    array ranking of the accepted rows.
     """
     _check_q_minimization(q)
     _check_count("n_samples", n_samples, 12)
@@ -545,29 +548,30 @@ def constrained_min_over_region(
         _mixed_blocks(ball_n, seed + 1, _REGION_BLOCK),
     )
 
-    # The checked rows hold the bits of the BlochVectors the predicate saw.
-    # Arrays rank the accepted ones; numpy may differ from math in the last
-    # bits, so each row within 1e-12 of the running array minimum is settled
-    # by its float value as its block is ranked, first strict minimum kept.
+    # Each block takes BlochVector's norm rule in place, so its rows hold the
+    # bits of the BlochVectors the predicate sees, each built for its call
+    # and dropped after it. Arrays rank the accepted rows; numpy may differ
+    # from math in the last bits, so each row within 1e-12 of the running
+    # array minimum is settled by its float value as its block is ranked,
+    # first strict minimum kept.
     n_accepted = 0
     low = best_val = math.inf
     for block in blocks:
-        states = map(BlochVector, *block.T.tolist())
-        accepted = [(i, bv) for i, bv in enumerate(states) if region(bv)]
-        if not accepted:
+        s = _checked_rows(block)
+        keep = list(compress(count(), map(region, map(_checked_bloch, *s.T.tolist()))))
+        if not keep:
             continue
-        n_accepted += len(accepted)
-        s = _checked_rows(block[[i for i, _ in accepted]])
+        n_accepted += len(keep)
+        s = s[keep]
         vals = _state_entropy_sum(*s.T, q)
         low = min(low, float(vals.min()))
-        for k in np.flatnonzero(vals <= low + 1e-12).tolist():
-            bv = accepted[k][1]
-            val = _state_entropy_sum(bv.sx, bv.sy, bv.sz, q)
+        for row in s[vals <= low + 1e-12].tolist():
+            val = _state_entropy_sum(*row, q)
             if val < best_val:
-                best_val, best = val, bv
+                best_val, best = val, row
     if not n_accepted:
         raise ValueError("region predicate rejected every sampled state")
-    return RegionMinimum(min_value=best_val, argmin=best, n_accepted=n_accepted)
+    return RegionMinimum(min_value=best_val, argmin=_checked_bloch(*best), n_accepted=n_accepted)
 
 
 def _pure_blocks(n: int, seed: int, rows: int):

@@ -265,6 +265,20 @@ def _checked_rows(rows, eps_pos: float = EPS_POS):
     return rows
 
 
+def _checked_bloch(sx: float, sy: float, sz: float) -> BlochVector:
+    """The BlochVector of a row that ``_checked_rows`` has checked, its floats stored as given.
+
+    A checked row already holds the bits that ``BlochVector(*raw_row)``
+    stores, so this skips the coercion, the norm and the rule.
+    """
+    bv = object.__new__(BlochVector)
+    fields = bv.__dict__
+    fields["sx"] = sx
+    fields["sy"] = sy
+    fields["sz"] = sz
+    return bv
+
+
 class QubitState(_Record):
     """Qubit density operator in Bloch form, with the derived state variables.
 

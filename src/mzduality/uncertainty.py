@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 EPS_GAP = 1e-9  # |gap| below this counts as saturated
 _ACOS_SLACK = 1e-12  # arccos/sqrt arguments may overshoot their domain by this
 _LP_RHS = math.sqrt(0.5)  # overlap of sigma_z with any fringe quadrature
+_BIAS_MAX = 1.0 + 2.0**-52  # the largest P or V of a state: V = 1 + 1 ulp
 
 
 class UncertaintyVerdict(_Record):
@@ -238,16 +239,23 @@ class EquivalenceAudit(_Record):
 
 
 def _check_bias(name: str, x) -> None:
-    """Refuse a NaN, negative or infinite P or V by name: a float, or an array's first such entry.
+    """Refuse by name a P or V that no state gives: a float, or an array's first such entry.
 
-    An array costs one ``min`` and one ``max``, which ``verify`` skips through
-    ``_pv_audit``. A bias above 1 is kept: a unit Bloch vector's V may round
-    to 1 + 1 ulp. ``pv_audit`` says where larger biases split its verdicts.
+    A bias lies in [0, _BIAS_MAX]; a unit Bloch vector's V may round to
+    1 + 1 ulp. A NaN, negative or infinite bias gets ``_check_nonnegative``'s
+    words. An array costs one ``min`` and one ``max``, which ``verify``
+    skips through ``_pv_audit``.
     """
-    if isinstance(x, (int, float)):
-        _check_nonnegative(name, float(x))
-    elif x.size and not (0.0 <= x.min() and x.max() < math.inf):  # a NaN fails both
-        _check_nonnegative(name, float(x[~((x >= 0.0) & (x < math.inf))][0]))
+    if not isinstance(x, (int, float)):
+        if not x.size or (0.0 <= x.min() and x.max() <= _BIAS_MAX):  # a NaN fails both
+            return
+        x = x[~((x >= 0.0) & (x <= _BIAS_MAX))][0]
+    x = float(x)
+    _check_nonnegative(name, x)
+    if x > _BIAS_MAX:
+        raise ValueError(
+            f"{name} must be at most 1 + 2**-52, the largest bias of a state, got {x!r}"
+        )
 
 
 def pv_audit(
@@ -260,32 +268,24 @@ def pv_audit(
     arrays give array fields, rhs stays a constant. The LP gap equals
     (1 - P^2 - V^2)/scale, scale = (S + PV)(sqrt 2 + 2 lhs), S = sqrt(|(1 -
     P^2)(1 - V^2)|), so the LP leg judges gap * scale, the duality gap, with
-    eps_gap, as the other two legs do. With one bias above 1 and the other
-    below, the identity fails; the absolute value keeps scale positive there,
-    so the LP leg reports the violation too (scale is 0 only at (P, V) =
-    (0, 1) and (1, 0), where every gap is 0). For P and V in [0, 1 + 1 ulp],
-    the biases of states, a leg's verdicts differ from those of the exact
-    gap only where 1 - P^2 - V^2 lies within 4 ulp(1) of +-eps_gap. Far
-    above 1 the legs split: from about (1e8, 1e8) the SR gap rounds to 0, so
-    SR holds and saturates; from about (1e20, 1e20) LP holds too; at
-    (1e300, 1e300) the gaps are NaN and every verdict is False.
+    eps_gap, as the other two legs do. A bias of 1 + 1 ulp against one below
+    1 makes (1 - P^2)(1 - V^2) negative; the absolute value keeps scale
+    positive there, so the LP leg reports what the other two do (scale is 0
+    only at (P, V) = (0, 1) and (1, 0), where every gap is 0). A leg's
+    verdicts differ from those of the exact gap only where 1 - P^2 - V^2
+    lies within 4 ulp(1) of +-eps_gap.
     Floats are evaluated by math and give plain floats and bools (see ``_xp``);
-    arrays give each element the float verdicts, overflow to inf included.
-    A NaN, negative or infinite P or V is refused by name; one above 1 is not.
+    arrays give each element the float verdicts. P and V must be biases of
+    states: a NaN, negative or infinite one, or one above 1 + 2**-52, is
+    refused by name.
     """
     _check_bias("P", p)
     _check_bias("V", v)
-    if hasattr(p, "dtype") or hasattr(v, "dtype"):  # numpy is loaded already
-        import numpy as np
-
-        # a huge bias overflows to inf and inf - inf gives NaN, as floats do silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _pv_audit(p, v, eps_gap)
     return _pv_audit(p, v, eps_gap)
 
 
 def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
-    """``pv_audit`` without its P and V check, for biases known finite and nonnegative."""
+    """``pv_audit`` without its P and V check, for biases known to lie in [0, 1 + 2**-52]."""
     pp, vv = p * p, v * v
     duality = _verdict_leq(pp + vv, 1.0, eps_gap)  # first: it checks eps_gap for all three legs
     sr_lhs = (1.0 - pp) * (1.0 - vv)

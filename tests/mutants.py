@@ -40,6 +40,14 @@ MUTANTS = [
         "vals <= low",
         ["tests/test_entropic.py", "-k", "region_minimum"],
     ),
+    # the region minimizer's blocks skip the norm rule, so the predicate and
+    # the ranking see raw rows whose norm rounds above 1
+    (
+        "entropic.py",
+        "s = _checked_rows(block)",
+        "s = block",
+        ["tests/test_entropic.py", "-k", "region_minimum"],
+    ),
     # a gap of exactly -eps_gap no longer holds
     (
         "uncertainty.py",

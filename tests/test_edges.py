@@ -176,7 +176,9 @@ def test_sweep_covers_every_exported_float_parameter():
                 assert (owner, param) in swept, (name, param)
 
 
-BIASES = [x for x in EDGES if 0.0 <= x < math.inf]  # what pv_audit accepts, 1e300 included
+BIAS_MAX = 1.0 + 2.0**-52  # a unit Bloch vector's V may round to 1 + 1 ulp
+BIASES = [x for x in EDGES if 0.0 <= x <= BIAS_MAX]  # what pv_audit accepts
+ABOVE = [x for x in EDGES if BIAS_MAX < x < math.inf]  # 2 + 1 ulp, 1e300 and 2.0
 
 
 def audit_fields(audit, i=None):
@@ -190,9 +192,23 @@ def audit_fields(audit, i=None):
     return out
 
 
+def assert_refused_above_states(pairs):
+    """pv_audit refuses, by name, each bias above a state's, on the float and array paths."""
+    for p, v in pairs:
+        name, x = ("P", p) if p > BIAS_MAX else ("V", v)
+        want = rf"^{name} must be at most 1 \+ 2\*\*-52, the largest bias of a state, got "
+        want += re.escape(repr(x)) + "$"
+        for args in ((p, v), (np.array([p]), np.array([v])), (np.array([0.5, p]), v)):
+            with pytest.raises(ValueError, match=want):
+                pv_audit(*args)
+
+
 def test_pv_audit_arrays_give_the_float_verdicts():
-    # a bias of 1e300 overflows its square to inf on both paths, and inf - inf
-    # gives NaN gaps; the array path must do that silently, as floats do
+    # a bias of 1e300 overflowed its square to inf on both paths, and inf - inf
+    # gave NaN gaps; it is refused now, as is every bias no state gives
+    assert len(ABOVE) == 3
+    assert_refused_above_states([(p, v) for p in ABOVE + BIASES for v in ABOVE])
+    assert_refused_above_states([(p, v) for p in ABOVE for v in BIASES])
     pairs = [(p, v) for p in BIASES for v in BIASES]
     want = [audit_fields(pv_audit(p, v)) for p, v in pairs]
     for (p, v), w in zip(pairs, want):
@@ -212,10 +228,14 @@ BIASES_ABOVE_ONE = [1.0 + 2.0**-51, 1.5, 2.0, math.nextafter(2.0, 3.0), 1e10, 1e
 
 
 def test_a_zero_bias_against_one_above_one_does_not_split_the_legs():
-    # there S = sqrt((1 - P^2)(1 - V^2)) and PV were both 0, so the LP leg's
-    # scale was 0 and it read holds and saturated where the other legs read
-    # a violation; |(1 - P^2)(1 - V^2)| keeps S positive
+    # against a bias above 1 + 1 ulp, S = sqrt((1 - P^2)(1 - V^2)) and PV were
+    # both 0, so the LP leg's scale was 0 and it read holds and saturated
+    # where the other legs read a violation; such biases are refused now.
+    # At 1 + 1 ulp, (1 - P^2)(1 - V^2) is -2^-51, and |...| keeps S positive
     pairs = [(z, x) for z in ZERO_BIASES for x in BIASES_ABOVE_ONE]
+    pairs += [(x, z) for z, x in pairs]
+    assert_refused_above_states(pairs)
+    pairs = [(z, BIAS_MAX) for z in ZERO_BIASES]
     pairs += [(x, z) for z, x in pairs]
     p, v = np.array(pairs).T
     array = pv_audit(p, v)
@@ -224,6 +244,6 @@ def test_a_zero_bias_against_one_above_one_does_not_split_the_legs():
             legs = (audit.duality, audit.sr, audit.lp)
             assert len({bool(np.all(leg.holds)) for leg in legs}) == 1, (pi, vi)
             assert len({bool(np.all(leg.saturated)) for leg in legs}) == 1, (pi, vi)
-            # a gap of 1 - 1.5^2 or less is a violation on every leg
-            assert bool(np.all(audit.all_hold)) == (max(pi, vi) < 1.5), (pi, vi)
+            # a gap of -2^-51 holds and saturates on every leg
+            assert bool(np.all(audit.all_hold)) and bool(np.all(audit.duality.saturated))
         assert audit_fields(array, i) == audit_fields(pv_audit(pi, vi)), (pi, vi)

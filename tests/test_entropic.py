@@ -530,6 +530,20 @@ class TestConstrainedMinOverRegion:
         with pytest.raises(ValueError, match="region"):
             constrained_min_over_region(1.0, lambda bv: False, 1_000, seed=0)
 
+    def test_predicate_sees_real_bloch_vectors(self):
+        # the records are built straight from the checked rows, not by BlochVector()
+        seen = []
+
+        def half_space(bv):
+            assert type(bv) is BlochVector
+            seen.append(bv)
+            return bv.sx - bv.sz >= 0.2
+
+        res = constrained_min_over_region(1.7, half_space, 3 * _REGION_BLOCK + 1, seed=4)
+        assert len(seen) == 3 * _REGION_BLOCK + 1 and type(res.argmin) is BlochVector
+        assert all(bv == BlochVector(*bv.as_tuple()) for bv in seen)
+        assert res.argmin in seen and half_space(res.argmin)
+
     def test_counts_accepted_candidates(self):
         res = constrained_min_over_region(1.0, lambda bv: True, 3_000, seed=0)
         assert res.n_accepted >= 2_900
@@ -619,8 +633,9 @@ class TestMemoryBound:
 
     def test_constrained_min_over_region(self):
         # one block of candidates, their Python floats and their arrays,
-        # about 1.2 MB at 3 * 10**4 samples and 1.5 MB at 3 * 10**5; the whole
-        # candidate array and its one tolist() peaked at 67.2 MB here
+        # about 0.4 MB at 3 * 10**4 and 3 * 10**5 samples (1.5 MB while each
+        # accepted record lived to the end of its block); the whole candidate
+        # array and its one tolist() peaked at 67.2 MB here
         half_space = REGIONS["half_space"]
         assert self.traced_peak(constrained_min_over_region, 1.7, half_space, 3 * 10**5) < 1.6e6
 

@@ -23,7 +23,7 @@ from mzduality import (
     probabilities,
     variance,
 )
-from mzduality.qubit import EPS_POS, _checked_rows, _Floats
+from mzduality.qubit import EPS_POS, _checked_bloch, _checked_rows, _Floats
 
 INV_SQRT2 = 2.0**-0.5
 SIGMA_Z = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0))
@@ -109,6 +109,28 @@ class TestBlochVector:
                 assert BlochVector(np.float64(sx), sy, sz).as_tuple() == want
         with pytest.raises(dataclasses.FrozenInstanceError):
             BlochVector(0.0, 0.0, 1.0).sx = 0.5
+
+    def test_checked_bloch_is_the_record_of_the_raw_row(self):
+        # unit rows from np.linalg.norm: about 1 % have a norm that BlochVector's
+        # sum rounds above 1, so _checked_rows rescales them (2 064 at seed 3)
+        raw = np.random.default_rng(3).normal(size=(200_000, 3))
+        raw /= np.linalg.norm(raw, axis=1)[:, None]
+        checked = _checked_rows(raw.copy())
+        rescaled = (checked != raw).any(axis=1)
+        assert np.count_nonzero(rescaled) == 2_064
+        want = [BlochVector(*row) for row in raw.tolist()]
+        got = [_checked_bloch(*row) for row in checked.tolist()]
+        assert all(type(bv) is BlochVector for bv in got)
+        fields = np.array([bv.as_tuple() for bv in got])
+        assert fields.tobytes() == np.array([bv.as_tuple() for bv in want]).tobytes()
+        # hash and repr read the fields: every rescaled row and every 64th row
+        picked = np.flatnonzero(rescaled | (np.arange(len(raw)) % 64 == 0)).tolist()
+        for i in picked:
+            assert hash(got[i]) == hash(want[i]) and repr(got[i]) == repr(want[i])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got[0].sx = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del got[0].sy
 
     def test_components_coerced_to_float(self):
         v = BlochVector(0, 0, 1)

@@ -1,8 +1,13 @@
-"""README's library quick start runs, and each line prints what its comment says."""
+"""README's examples run and show what they print.
+
+The library quick start prints what its comments say; every command-line
+example exits 0, and the trimmed qscan transcript is the real output.
+"""
 
 from __future__ import annotations
 
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -53,3 +58,42 @@ def test_library_quick_start_prints_its_comments():
     assert want and printed.keys() == want.keys()
     for number, comment in want.items():
         assert matches(printed[number], comment), (lines[number - 1], printed[number], comment)
+
+
+def command_line_section() -> str:
+    """README's "Command line" section, up to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_command_line_examples_exit_0(tmp_path, capsys):
+    from mzduality import cli
+
+    block = re.search(r"```sh\n(.*?)```", command_line_section(), re.S).group(1)
+    lines = block.splitlines()
+    assert lines and all(line.startswith("mzduality ") for line in lines)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        outs = [i + 1 for i, arg in enumerate(argv) if arg == "--out"]
+        for i in outs:
+            argv[i] = str(tmp_path / argv[i])
+        assert cli.main(argv) == 0, line
+        out, err = capsys.readouterr()
+        assert not err and bool(out) != bool(outs), line
+        assert all(Path(argv[i]).stat().st_size for i in outs), line
+
+
+def test_qscan_transcript_matches_the_output(capsys):
+    from mzduality import cli
+
+    block = re.search(r"A scan, trimmed:\n\n```\n(.*?)```", command_line_section(), re.S).group(1)
+    command, *want = block.splitlines()
+    assert command.startswith("$ mzduality ")
+    assert cli.main(shlex.split(command)[2:]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert len(got) == len(want)
+    for line, comment in zip(got, want):
+        if comment.endswith("..."):
+            assert line.startswith(comment[:-3]), (line, comment)
+        else:
+            assert line == comment

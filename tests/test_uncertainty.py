@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -337,27 +338,39 @@ class TestPvAudit:
                     got = getattr(f, name)
                     assert type(got) is bool and got == bool(getattr(a, name)[i]), (pi, vi, name)
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, -5e-324, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, -1.0, -5e-324, math.inf, -math.inf, 1.0 + 2.0**-51, 1.5, 1e10, 1e300],
+        ids=repr,
+    )
     @pytest.mark.parametrize("name", ["P", "V"])
     def test_bad_bias_is_refused_by_name(self, name, bad):
         # pv_audit(-1, 0) held and saturated every relation, and a NaN gave
-        # NaN gaps that agreed on saturation
+        # NaN gaps that agreed on saturation. No state has a bias above
+        # 1 + 1 ulp, and far above it the legs split: at (1e10, 1e10) SR held
+        # and saturated while duality and LP read a violation
+        if 1.0 < bad < math.inf:
+            want = rf"^{name} must be at most 1 \+ 2\*\*-52, the largest bias of a state, got "
+        else:
+            want = f"^{name} must be finite and nonnegative, got "
+        want += re.escape(repr(bad)) + "$"
         good = 0.6
-        calls = [(bad, good), (np.array([good, bad, bad]), np.array([good, good, good]))]
+        calls = [(bad, good), (np.array([good, bad, 2.0]), np.array([good, good, good]))]
         for p, v in calls:
             args = (p, v) if name == "P" else (v, p)
-            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got "):
+            with pytest.raises(ValueError, match=want):
                 pv_audit(*args)
 
     def test_biases_past_one_are_audited_not_refused(self):
         # a unit equatorial vector may give V = 1 + 1 ulp, and it saturates;
-        # a bias of 2 is a violation that the verdicts report
+        # one ulp more is refused
         over = 1.0 + 2.0**-52
         assert visibility(QubitState.from_bloch(0.7512032581921485, -0.6600709544295223, 0.0)) == over
         for p, v in ((0.0, over), (np.array([-0.0]), np.array([over]))):
             audit = pv_audit(p, v)
             assert bool(np.all(audit.all_hold)) and bool(np.all(audit.duality.saturated))
-        assert not pv_audit(2.0, 0.0).duality.holds
+        with pytest.raises(ValueError, match="^P must be at most 1 "):
+            pv_audit(math.nextafter(over, 2.0), 0.0)
         empty = pv_audit(np.array([]), np.array([]))
         assert empty.all_hold.shape == (0,)
 
