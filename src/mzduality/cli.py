@@ -40,8 +40,8 @@ from .entropic import (
     BAND_EPS,
     LN2,
     ContourGrid,
-    _check_grid,
-    _check_tolerance,
+    _check_grid_n,
+    _check_grid_q,
     _grid_entropies,
     _mixed_blocks,
     _pure_blocks,
@@ -78,15 +78,30 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{what} expects three comma-separated floats, got {text!r}")
+def _flagged(flag: str, check: Callable, *args, name: str = "", **kwargs):
+    """check(*args, **kwargs), a refusal of it re-raised as a ValueError that names flag.
+
+    name is the parameter that takes the flag's value, by default the flag
+    without its dashes. A ValueError, MemoryError or OSError message that
+    starts with name and a space has name replaced by flag; any other gets
+    "flag: " in front.
+    """
     try:
-        a, b, c = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"{what} expects three floats, got {text!r}") from exc
-    return a, b, c
+        return check(*args, **kwargs)
+    except (ValueError, MemoryError, OSError) as exc:
+        text, name = str(exc) or type(exc).__name__, name or flag[2:]
+        if text.startswith(name + " "):
+            raise ValueError(flag + text[len(name) :]) from None
+        raise ValueError(f"{flag}: {text}") from None
+
+
+def _from_triple(make: Callable, text: str, **kwargs):
+    """make(a, b, c, **kwargs) of the three comma-separated floats a, b, c of text."""
+    try:
+        a, b, c = map(float, text.split(","))
+    except ValueError:  # not a float, or not three of them
+        raise ValueError(f"expected three comma-separated floats, got {text!r}") from None
+    return make(a, b, c, **kwargs)
 
 
 def _meta_lines(ns: SimpleNamespace, argv: list[str]) -> list[str]:
@@ -115,7 +130,9 @@ def _lines(lines: Iterable[str]) -> str:
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
     """Write the output chunks in order to the file at path, or to stdout if it is None."""
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="\n")
+    out = sys.stdout
+    if path is not None:
+        out = _flagged("--out", open, path, "w", encoding="utf-8", newline="\n")
     try:
         for chunk in chunks:
             out.write(chunk)
@@ -145,10 +162,10 @@ def _spelled(fmt: str, xs: Sequence[float]) -> list[str]:
     return ((fmt + "\n") * len(xs) % tuple(xs)).split("\n")[:-1]
 
 
-def _grid_cells(q: float, n: int) -> list[None]:
-    """n * n slots for the contour strings: after checking q and n, before any O(n) work."""
-    _check_grid(q, n, "--n")
-    return _slots(n * n, f"--n {n}: no memory for the {n} x {n} = {n * n} cells")
+def _grid_cells(n: int) -> list[None]:
+    """n * n slots for the contour strings: after checking n, before any O(n) work."""
+    _check_grid_n(n)
+    return _slots(n * n, f"n {n}: no memory for the {n} x {n} = {n * n} cells")
 
 
 def _symmetric_rows(h: Sequence[float], fmt: str, cells: list) -> Iterator[list[str]]:
@@ -207,10 +224,9 @@ def _state_from_args(ns: SimpleNamespace) -> QubitState:
     if len(given) != 1:
         raise ValueError("exactly one of --bloch or --wrt is required")
     if given[0] == "bloch":
-        sx, sy, sz = _parse_triple(ns.bloch, "--bloch")
-        return QubitState.from_bloch(sx, sy, sz, eps_pos=ns.tolerance["eps_pos"])
-    w, r, theta = _parse_triple(ns.wrt, "--wrt")
-    return QubitState.from_weights(w, r, theta)
+        eps_pos = ns.tolerance["eps_pos"]
+        return _flagged("--bloch", _from_triple, QubitState.from_bloch, ns.bloch, eps_pos=eps_pos)
+    return _flagged("--wrt", _from_triple, QubitState.from_weights, ns.wrt)
 
 
 def cmd_state(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
@@ -246,12 +262,8 @@ def cmd_state(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
 
 
 def cmd_mz(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
-    _check_count("--phases", ns.phases, 8)
     inside = apply_beam_splitter(_state_from_args(ns))
-    try:
-        scan = fringe_scan(inside, ns.phases)
-    except MemoryError:  # fringe_scan names n_phases; the CLI names its flag
-        raise MemoryError(f"--phases {ns.phases}: no memory for {ns.phases} phases") from None
+    scan = _flagged("--phases", fringe_scan, inside, ns.phases, name="n_phases")
     v_analytic = visibility(inside)
     rows = zip(scan.phases, scan.p_d1, scan.p_d2)
     row = '{\n      "phi": %r,\n      "p_d1": %r,\n      "p_d2": %r\n    }'
@@ -262,18 +274,13 @@ def cmd_mz(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
         "v_operational": scan.v_operational,
         "visibility_analytic": v_analytic,
     }
-    tail = _lines([
-        f"# p_max: {_fmt(scan.p_max)}",
-        f"# p_min: {_fmt(scan.p_min)}",
-        f"# v_operational: {_fmt(scan.v_operational)}",
-        f"# visibility_analytic: {_fmt(v_analytic)}",
-    ])
+    tail = _lines(f"# {k}: {_fmt(v)}" for k, v in fields.items() if k != "rows")
     csv = chain(["phi,p_d1,p_d2\n"], _table("%.17g,%.17g,%.17g\n", "", rows), [tail])
     return 0, fields, csv
 
 
 def cmd_verify(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
-    _check_count("--n", ns.n, 1)
+    _flagged("--n", _check_count, "n", ns.n, 1)
     import numpy as np
 
     eps_pos, eps_gap = ns.tolerance["eps_pos"], ns.tolerance["eps_gap"]
@@ -287,18 +294,13 @@ def cmd_verify(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     violations = []
     start = 0
     for rows in blocks:
-        s = _checked_rows(rows, eps_pos)
+        s = _flagged("--tolerance", _checked_rows, rows, eps_pos)
         # checked rows give P and V in [0, 1 + 2**-52], so pv_audit's check is skipped
         audit = _pv_audit(np.abs(s[:, 2]), np.hypot(s[:, 0], s[:, 1]), eps_gap)
         bad = np.flatnonzero(~(audit.all_hold & audit.all_agree_on_saturation)).tolist()
-        violations += [
-            (
-                start + i,
-                f"duality_gap={_fmt(audit.duality.gap[i])}"
-                f" sr_gap={_fmt(audit.sr.gap[i])} lp_gap={_fmt(audit.lp.gap[i])}",
-            )
-            for i in bad
-        ]
+        gaps = audit.duality.gap, audit.sr.gap, audit.lp.gap
+        detail = "duality_gap=%s sr_gap=%s lp_gap=%s"
+        violations += [(start + i, detail % tuple(_fmt(g[i]) for g in gaps)) for i in bad]
         start += len(s)
     agreed = ns.n - len(violations)
     ok = not violations
@@ -318,10 +320,10 @@ def cmd_verify(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
 def cmd_qscan(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     if not 0.0 < ns.qmin <= ns.qmax <= 2.0:
         raise ValueError(
-            f"need 0 < qmin <= qmax <= 2 (pure-state reduction is concavity-"
-            f"limited to q <= 2), got qmin={ns.qmin!r} qmax={ns.qmax!r}"
+            f"need 0 < --qmin <= --qmax <= 2 (pure-state reduction is concavity-"
+            f"limited to q <= 2), got --qmin {ns.qmin!r} --qmax {ns.qmax!r}"
         )
-    _check_count("--steps", ns.steps, 1)
+    _flagged("--steps", _check_count, "steps", ns.steps, 1)
     # the rows are computed as they are written, so only a block is held
     n = ns.steps - 1
     step = (ns.qmax - ns.qmin) / max(n, 1)
@@ -346,8 +348,7 @@ def cmd_qscan(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
 
 
 def cmd_qstar(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
-    _check_tolerance("--tol", ns.tol)
-    q_star = find_q_star(ns.tol)
+    q_star = _flagged("--tol", find_q_star, ns.tol, name="tolerance")
     inv = 1.0 / math.sqrt(2.0)
     residual = entropy_sum(inv, inv, q_star) - LN2
     lines = ["quantity,value", f"q_star,{_fmt(q_star)}", f"residual,{_fmt(residual)}"]
@@ -355,7 +356,8 @@ def cmd_qstar(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
 
 
 def cmd_contour(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
-    cells = _grid_cells(ns.q, ns.n)
+    _flagged("--q", _check_grid_q, ns.q)
+    cells = _flagged("--n", _grid_cells, ns.n)
     axis, h = _grid_entropies(ns.q, ns.n)
     inner = "\n      "
     fields = {
@@ -527,9 +529,7 @@ def _tolerances(items: list[str]) -> dict[str, float]:
         if not 0.0 < v < math.inf:  # also rejects NaN
             raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
         if name == "eps_gap" and v < EPS_GAP_FLOOR:
-            raise ValueError(
-                f"tolerance {name} must be at least {EPS_GAP_FLOOR}, got {value!r}"
-            )
+            raise ValueError(f"tolerance {name} must be at least {EPS_GAP_FLOOR}, got {value!r}")
         tolerance[name] = v  # in argv order, so the last value of a name wins
     return tolerance
 

@@ -188,11 +188,6 @@ def minimize_entropy_sum(q: float) -> MinimizationResult:
     return MinimizationResult(q=q, min_value=min_value, minimizers=minimizers, regime=regime)
 
 
-def _check_tolerance(name: str, tolerance: float) -> None:
-    if not 1e-14 <= tolerance <= 1e-3:
-        raise ValueError(f"{name} must lie in [1e-14, 1e-3], got {tolerance!r}")
-
-
 @functools.lru_cache(maxsize=None)
 def find_q_star(tolerance: float = 1e-10) -> float:
     """Solve 2 H_q(1/sqrt 2) = ln 2 for the critical index q*.
@@ -204,7 +199,8 @@ def find_q_star(tolerance: float = 1e-10) -> float:
     defining equation there is at most about 0.14 * tolerance (the slope
     of the objective at q* is about -0.27).
     """
-    _check_tolerance("tolerance", tolerance)
+    if not 1e-14 <= tolerance <= 1e-3:
+        raise ValueError(f"tolerance must lie in [1e-14, 1e-3], got {tolerance!r}")
 
     def g(q: float) -> float:
         return 2.0 * _bias_entropy(_INV_SQRT2, q) - LN2
@@ -456,11 +452,14 @@ class ContourGrid(_Record):
         return float(self.values[i, j])
 
 
-def _check_grid(q: float, n: int, n_name: str = "n") -> None:
+def _check_grid_q(q: float) -> None:
     _check_q(q)
     if q == math.inf:
         raise ValueError(f"contour grids require a finite Renyi index q, got {q!r}")
-    _check_count(n_name, n, 32)
+
+
+def _check_grid_n(n: int) -> None:
+    _check_count("n", n, 32)
 
 
 def _grid_entropies(q: float, n: int) -> tuple[list[float], list[float]]:
@@ -472,7 +471,8 @@ def _grid_entropies(q: float, n: int) -> tuple[list[float], list[float]]:
 
 def contour_grid(q: float, n: int) -> ContourGrid:
     """Tabulate H_q(P) + H_q(V) on an n x n equispaced grid over [0, 1]^2."""
-    _check_grid(q, n)
+    _check_grid_q(q)
+    _check_grid_n(n)
     import numpy as np
 
     values = np.empty((n, n))  # before any O(n) work, so a huge n fails at once

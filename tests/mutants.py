@@ -210,6 +210,20 @@ MUTANTS = [
         "islice(rows, _ROW_BLOCK)",
         ["tests/test_cli.py", "-k", "rows_in_blocks"],
     ),
+    # a refusal that starts with the parameter name, or any other, reaches
+    # the user in the library's words, naming no flag
+    (
+        "cli.py",
+        "raise ValueError(flag + text[len(name) :]) from None",
+        "raise",
+        ["tests/test_cli_edges.py"],
+    ),
+    (
+        "cli.py",
+        'raise ValueError(f"{flag}: {text}") from None',
+        "raise",
+        ["tests/test_cli_edges.py"],
+    ),
     # the contour cells below the diagonal are never filled
     (
         "cli.py",

@@ -1,7 +1,9 @@
 """README's examples run and show what they print.
 
 The library quick start prints what its comments say; every command-line
-example exits 0, and the trimmed qscan transcript is the real output.
+example exits 0, and the trimmed qscan transcript is the real output. A
+constant quoted as `module.NAME = value` has that value in the code, and
+the block sizes are never quoted as bare numbers.
 """
 
 from __future__ import annotations
@@ -97,3 +99,29 @@ def test_qscan_transcript_matches_the_output(capsys):
             assert line.startswith(comment[:-3]), (line, comment)
         else:
             assert line == comment
+
+
+QUOTED = re.compile(r"`(\w+)\.(\w+) = ([^`]+)`")  # `module.NAME = value`
+
+
+def test_quoted_constants_have_their_values_in_the_code():
+    import ast
+    import importlib
+
+    text = README.read_text(encoding="utf-8")
+    quoted = QUOTED.findall(text)
+    names = {f"{module}.{name}" for module, name, _ in quoted}
+    assert {"cli.EPS_GAP_FLOOR", "cli._ROW_BLOCK", "entropic._BLOCK"} <= names
+    for module, name, value in quoted:
+        code = getattr(importlib.import_module(f"mzduality.{module}"), name)
+        assert ast.literal_eval(value) == code, (module, name, value)
+
+
+def test_block_sizes_are_quoted_only_by_name():
+    from mzduality.cli import _ROW_BLOCK
+    from mzduality.entropic import _BLOCK
+
+    bare = QUOTED.sub("", README.read_text(encoding="utf-8"))
+    for n in (_ROW_BLOCK, _BLOCK, 2 * _BLOCK):
+        for spelled in (str(n), f"{n:,}".replace(",", " ")):
+            assert not re.search(rf"(?<![\w.]){spelled}(?![\w.])", bare), spelled
