@@ -223,10 +223,10 @@ def _state_from_args(ns: SimpleNamespace) -> QubitState:
     given = [opt for opt in ("bloch", "wrt") if getattr(ns, opt, None) is not None]
     if len(given) != 1:
         raise ValueError("exactly one of --bloch or --wrt is required")
+    eps_pos = ns.tolerance["eps_pos"]
     if given[0] == "bloch":
-        eps_pos = ns.tolerance["eps_pos"]
         return _flagged("--bloch", _from_triple, QubitState.from_bloch, ns.bloch, eps_pos=eps_pos)
-    return _flagged("--wrt", _from_triple, QubitState.from_weights, ns.wrt)
+    return _flagged("--wrt", _from_triple, QubitState.from_weights, ns.wrt, eps_pos=eps_pos)
 
 
 def cmd_state(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:

@@ -34,6 +34,7 @@ from .qubit import (
     _check_finite,
     _check_nonnegative,
     _checked_bloch,
+    _checked_blochs,
     _checked_rows,
     _Record,
     _row_norms_sq,
@@ -379,9 +380,11 @@ def brute_force_min(
     sum at three arc states, which only prunes and is never returned; the
     ball's is the arc's minimum. Most ball rows are dropped by one
     comparison of the squared norm that the in-ball test computes: a row
-    below ``_norm_floor`` lies in a cell above the cut. Only the rest are
-    looked up in the cell table, and the rows it keeps are gathered across
-    draws and evaluated about ``_BLOCK`` at a time. The arc runs first,
+    below ``_norm_floor`` lies in a cell above the cut (the draws come at
+    half scale, so their squared norms are compared with a quarter of the
+    floor). Only the rest are doubled to full scale and looked up in the
+    cell table, and the rows it keeps are gathered across draws and
+    evaluated about ``_BLOCK`` at a time. The arc runs first,
     then the ball, on the calling thread, so memory is O(_BLOCK) at any
     n_states.
     """
@@ -393,8 +396,9 @@ def brute_force_min(
     cells = _cell_bounds(q)
     cut = best + _SLACK
     floor = _norm_floor(cells, cut)
+    floor *= 0.25  # exact: the draws' squared norms are a quarter of the full-scale ones
     rows = starmap(
-        lambda block, r2, inside: block.compress(inside & (r2 >= floor), axis=0),
+        lambda block, r2, inside: _doubled(block.compress(inside & (r2 >= floor), axis=0)),
         _cube_blocks(n_states, seed, _BLOCK),
     )
     for s in _rebatched(rows, _BLOCK):
@@ -526,8 +530,9 @@ def constrained_min_over_region(
     The candidates are made and ranked in blocks of ``_REGION_BLOCK`` rows
     (ball blocks: the rows kept from ``2 * _REGION_BLOCK`` draws) in one
     pass, so memory is O(_REGION_BLOCK) at any n_samples. Each block takes
-    the norm rule, then one record per row for the predicate, then the
-    array ranking of the accepted rows.
+    the norm rule, then its records, built together in C-level passes
+    (``qubit._checked_blochs``) and held until the predicate has seen each
+    one, then the array ranking of the accepted rows.
     """
     _check_q_minimization(q)
     _check_count("n_samples", n_samples, 12)
@@ -549,8 +554,8 @@ def constrained_min_over_region(
     )
 
     # Each block takes BlochVector's norm rule in place, so its rows hold the
-    # bits of the BlochVectors the predicate sees, each built for its call
-    # and dropped after it. Arrays rank the accepted rows; numpy may differ
+    # bits of the BlochVectors the predicate sees; a block's records are
+    # dropped with it. Arrays rank the accepted rows; numpy may differ
     # from math in the last bits, so each row within 1e-12 of the running
     # array minimum is settled by its float value as its block is ranked,
     # first strict minimum kept.
@@ -558,7 +563,7 @@ def constrained_min_over_region(
     low = best_val = math.inf
     for block in blocks:
         s = _checked_rows(block)
-        keep = list(compress(count(), map(region, map(_checked_bloch, *s.T.tolist()))))
+        keep = list(compress(count(), map(region, _checked_blochs(*s.T.tolist()))))
         if not keep:
             continue
         n_accepted += len(keep)
@@ -598,14 +603,22 @@ def _pure_blocks(n: int, seed: int, rows: int):
 
 
 def _cube_blocks(n: int, seed: int, rows: int):
-    """The cube draws behind ``random_mixed_bloch(n, seed)``: an iterator of (block, r2, inside).
+    """The cube draws behind ``random_mixed_bloch(n, seed)`` at half scale: (block, r2, inside).
 
-    ``block`` is one draw of at most ``2 * rows`` cube points, ``r2`` its
-    ``_row_norms_sq`` and ``inside`` the mask of its rows that are among the
-    first n rows of the seeded stream of cube points that fall in the ball.
-    A uniform draw takes one double per element, so the draw sizes,
+    ``block`` is one draw of at most ``2 * rows`` points of the cube
+    [-1/2, 1/2)^3, ``r2`` its ``_row_norms_sq`` and ``inside`` the mask of
+    its rows that are among the first n rows of the seeded stream of cube
+    points that fall in the ball of radius 1/2 (``r2 <= 0.25``). A uniform
+    draw takes one double per element, so the draw sizes,
     ``2 * min(max(n - have, 64), rows)`` rows, change only how far past the
     n-th kept row the draws run.
+
+    Twice a row is ``uniform(-1, 1)``'s -1 + 2u exactly: u is a multiple of
+    2**-53 in [0, 1), so u - 0.5 is exact. Its squares and their sums are a
+    quarter of the full-scale ones exactly, since a nonzero square is at
+    least 2**-106 and never subnormal, so the mask is the one ``r2 <= 1``
+    gives at full scale. Halving saves the pass that doubling would take
+    over every draw; only the kept rows are doubled (``_doubled``).
 
     Only the caller holds a draw's arrays. A generator would hold them too
     while the caller works, which raised ``verify``'s heap enough for the C
@@ -621,10 +634,9 @@ def _cube_blocks(n: int, seed: int, rows: int):
         if have >= n:
             return None
         block = rng.random(size=(2 * min(max(n - have, 64), rows), 3))
-        block *= 2.0  # exact, so this is uniform(-1, 1)'s -1 + 2u
-        block -= 1.0
+        block -= 0.5  # exact: half of uniform(-1, 1)'s -1 + 2u
         r2 = _row_norms_sq(block)
-        inside = r2 <= 1.0
+        inside = r2 <= 0.25
         kept = int(np.count_nonzero(inside))
         if kept > n - have:  # the rows past the n-th in the ball are not samples
             inside[np.flatnonzero(inside)[n - have :]] = False
@@ -635,15 +647,22 @@ def _cube_blocks(n: int, seed: int, rows: int):
     return iter(draw, None)
 
 
+def _doubled(rows):
+    """Half-scale rows of ``_cube_blocks`` doubled in place: full scale, exactly."""
+    rows *= 2.0
+    return rows
+
+
 def _mixed_blocks(n: int, seed: int, rows: int):
     """The rows of ``random_mixed_bloch(n, seed)`` in order: an iterator of blocks.
 
-    Each block holds the in-ball rows of one ``_cube_blocks`` draw, about
-    1.05 ``rows`` of them. ``starmap``, unlike a loop, keeps no draw while
-    the caller works on a block.
+    Each block holds the in-ball rows of one half-scale ``_cube_blocks``
+    draw, about 1.05 ``rows`` of them, doubled in place: the bits of
+    ``uniform(-1, 1)``'s rows. ``starmap``, unlike a loop, keeps no draw
+    while the caller works on a block.
     """
     draws = _cube_blocks(n, seed, rows)
-    return starmap(lambda block, _, inside: block.compress(inside, axis=0), draws)
+    return starmap(lambda block, _, inside: _doubled(block.compress(inside, axis=0)), draws)
 
 
 def _gathered(n: int, blocks) -> np.ndarray:

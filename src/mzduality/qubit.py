@@ -11,6 +11,8 @@ ever materialized here.
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import repeat
 
 # Construction tolerances (see also the CLI's --tolerance overrides).
 EPS_POS = 1e-9   # Bloch-norm slack: norms in (1, 1+EPS_POS] are renormalized
@@ -84,6 +86,7 @@ class _Record:
     (and the inspect and ast modules it loads) is imported only then.
     """
 
+    __slots__ = ()  # a subclass keeps its __dict__ unless it names its own slots
     _fields = ()
     __signature__ = _Signature()
 
@@ -191,8 +194,16 @@ class BlochVector(_Record):
     component is refused by its name. Both checks, and the read of eps_pos,
     which is refused by name if NaN, negative or infinite, run only for a
     norm above 1 or NaN.
+
+    The three fields live in ``__slots__``, so a vector has no ``__dict__``
+    and takes no weak reference. They are stored through the slots' own
+    setters, which the frozen ``__setattr__`` does not reach. Pickles and
+    copies carry the fields as a dict and are rebuilt from it without the
+    norm rule, so they keep every bit; pickles of the earlier ``__dict__``
+    class load the same way.
     """
 
+    __slots__ = ("sx", "sy", "sz")
     sx: float
     sy: float
     sz: float
@@ -211,10 +222,17 @@ class BlochVector(_Record):
                     "invariant ||s|| <= 1"
                 )
             sx, sy, sz = sx / n, sy / n, sz / n
-        fields = self.__dict__
-        fields["sx"] = sx
-        fields["sy"] = sy
-        fields["sz"] = sz
+        _set_sx(self, sx)
+        _set_sy(self, sy)
+        _set_sz(self, sz)
+
+    def __getstate__(self) -> dict:
+        return {"sx": self.sx, "sy": self.sy, "sz": self.sz}
+
+    def __setstate__(self, state: dict) -> None:
+        _set_sx(self, state["sx"])
+        _set_sy(self, state["sy"])
+        _set_sz(self, state["sz"])
 
     @property
     def norm(self) -> float:
@@ -234,6 +252,10 @@ class BlochVector(_Record):
     def from_dict(cls, data: dict) -> "BlochVector":
         sx, sy, sz = data["s"]
         return cls(float(sx), float(sy), float(sz))
+
+
+# the slots' setters, which store a field past the frozen __setattr__
+_set_sx, _set_sy, _set_sz = (getattr(BlochVector, name).__set__ for name in BlochVector._fields)
 
 
 def _row_norms_sq(rows):
@@ -272,11 +294,23 @@ def _checked_bloch(sx: float, sy: float, sz: float) -> BlochVector:
     stores, so this skips the coercion, the norm and the rule.
     """
     bv = object.__new__(BlochVector)
-    fields = bv.__dict__
-    fields["sx"] = sx
-    fields["sy"] = sy
-    fields["sz"] = sz
+    _set_sx(bv, sx)
+    _set_sy(bv, sy)
+    _set_sz(bv, sz)
     return bv
+
+
+def _checked_blochs(sx: list, sy: list, sz: list) -> list[BlochVector]:
+    """``_checked_bloch`` of each row, given as three lists of floats, in C-level passes.
+
+    One pass makes the records with ``object.__new__`` and one pass per
+    field stores its floats through the slot's setter; no Python function
+    runs per row.
+    """
+    records = list(map(object.__new__, repeat(BlochVector, len(sx))))
+    for setter, values in ((_set_sx, sx), (_set_sy, sy), (_set_sz, sz)):
+        deque(map(setter, records, values), 0)
+    return records
 
 
 class QubitState(_Record):
@@ -294,14 +328,14 @@ class QubitState(_Record):
         return cls(BlochVector(sx, sy, sz, **kw))
 
     @classmethod
-    def from_weights(cls, w_plus: float, r: float, theta: float) -> "QubitState":
-        """Build from the (w+, r, theta) parametrization."""
+    def from_weights(cls, w_plus: float, r: float, theta: float, **kw) -> "QubitState":
+        """Build from the (w+, r, theta) parametrization; ``kw`` (eps_pos) goes to ``from_bloch``."""
         if not 0.0 <= w_plus <= 1.0:
             raise ValueError(f"w_plus must lie in [0, 1], got {w_plus!r}")
         _check_nonnegative("r", r)
         _check_finite("theta", theta)
         return cls.from_bloch(
-            2.0 * r * math.cos(theta), 2.0 * r * math.sin(theta), 2.0 * w_plus - 1.0
+            2.0 * r * math.cos(theta), 2.0 * r * math.sin(theta), 2.0 * w_plus - 1.0, **kw
         )
 
     @property

@@ -48,6 +48,30 @@ MUTANTS = [
         "s = block",
         ["tests/test_entropic.py", "-k", "region_minimum"],
     ),
+    # the region's records are built without their sy field, so the
+    # predicate's first read of it fails
+    (
+        "qubit.py",
+        "(_set_sx, sx), (_set_sy, sy), (_set_sz, sz)",
+        "(_set_sx, sx), (_set_sz, sz)",
+        ["tests/test_entropic.py", "-k", "region_minimum"],
+    ),
+    # the half-scale draws are tested against the full-scale ball, so rows
+    # of norm up to 2 are taken as samples
+    (
+        "entropic.py",
+        "inside = r2 <= 0.25",
+        "inside = r2 <= 1.0",
+        ["tests/test_entropic.py", "-k", "samplers or half_scale"],
+    ),
+    # the oracle compares half-scale squared norms with the full-scale floor,
+    # so it drops ball rows that lie in cells within its cut
+    (
+        "entropic.py",
+        "floor *= 0.25",
+        "floor *= 1.0",
+        ["tests/test_entropic.py", "-k", "rows_within_the_cut"],
+    ),
     # a gap of exactly -eps_gap no longer holds
     (
         "uncertainty.py",

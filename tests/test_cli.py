@@ -118,6 +118,18 @@ def test_state_rejects_unphysical_vector(capsys):
     assert "Bloch norm" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eps_pos_applies_to_wrt_as_to_bloch(capsys, fmt):
+    # (w+, r, theta) = (1, 0.01, 0) is the Bloch vector (0.02, 0, 1), of norm
+    # 1.0002: both spellings are renormalized under eps_pos = 1e-3
+    tol = ["--format", fmt, "--tolerance", "eps_pos=1e-3", "state"]
+    code, out, err = run(capsys, *tol, "--wrt", "1,0.01,0")
+    want_code, want, _ = run(capsys, *tol, "--bloch", "0.02,0,1")
+    assert code == want_code == 0 and err == ""
+    # the echoed command line is the only difference
+    assert out.replace("--wrt 1,0.01,0", "--bloch 0.02,0,1", 1) == want
+
+
 @pytest.mark.parametrize(
     ("wrt", "message"),
     [

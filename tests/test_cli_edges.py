@@ -120,6 +120,12 @@ REFUSALS = [
     (["state", "--wrt", "2,0,0"], "--wrt: w_plus must lie in [0, 1], got 2.0"),
     (["state", "--bloch", "nan,0,0"], "--bloch: Bloch component sx is NaN"),
     (
+        # the --bloch 0.02,0,1 state: refused without an eps_pos that admits it
+        ["state", "--wrt", "1,0.01,0"],
+        "--wrt: Bloch norm exceeds 1: ||s|| = 1.000199980003999 violates the"
+        " positivity invariant ||s|| <= 1",
+    ),
+    (
         # a row of norm 1 + 2**-52, which rounding gives, is refused only by this eps_pos
         ["--tolerance", "eps_pos=1e-300", "verify", "--n", "2000"],
         "--tolerance: Bloch norm exceeds 1: ||s|| = 1.0000000000000002 violates the"

@@ -132,8 +132,8 @@ def has_nan(result) -> bool:
         return result.dtype.kind == "f" and bool(np.isnan(result).any())
     if isinstance(result, (tuple, list)):
         return any(has_nan(x) for x in result)
-    if hasattr(result, "__dict__"):
-        return any(has_nan(x) for x in vars(result).values())
+    if hasattr(result, "_fields"):  # a record, its fields in __slots__ or in __dict__
+        return any(has_nan(getattr(result, name)) for name in result._fields)
     return False
 
 

@@ -51,6 +51,7 @@ from mzduality.entropic import (
     _ball_bounds,
     _bias_entropy,
     _cell_bounds,
+    _cube_blocks,
     _linspace_blocks,
     _mixed_blocks,
     _norm_floor,
@@ -421,6 +422,24 @@ class TestBruteForce:
         assert evaluated["arc"] < 0.05 * 10**6
         assert evaluated["ball"] < 0.05 * 10**6
 
+    # the ball sweep evaluates, at full scale and in order, exactly the rows
+    # of random_mixed_bloch whose cell bound is within the cut: the norm floor
+    # on the half-scale draws drops none of them
+    @pytest.mark.parametrize(("q", "n"), [(0.3, 250_001), (1.0, 250_001), (1.7, 10**6), (2.0, 65_537)])
+    def test_ball_sweep_evaluates_the_rows_within_the_cut(self, monkeypatch, q, n):
+        swept = []
+
+        def state_sums(x, y, z, q):
+            swept.append(np.column_stack([x, y, z]))
+            return ball(x, y, z, q)
+
+        ball = entropic._state_entropy_sum
+        monkeypatch.setattr(entropic, "_state_entropy_sum", state_sums)
+        brute_force_min(q, n, True, seed=3)
+        s = random_mixed_bloch(n, 3)
+        want = s[_ball_bounds(_cell_bounds(q), s) <= _arc_min(q, n) + _SLACK]
+        assert len(want) and same_bits(np.concatenate(swept), want)
+
 
 class TestContourGrid:
     def test_shape_axis_and_metadata(self):
@@ -632,10 +651,11 @@ class TestMemoryBound:
         assert self.traced_peak(brute_force_min, 1.7, 10**6, True, seed=3) < 4e6
 
     def test_constrained_min_over_region(self):
-        # one block of candidates, their Python floats and their arrays,
-        # about 0.4 MB at 3 * 10**4 and 3 * 10**5 samples (1.5 MB while each
-        # accepted record lived to the end of its block); the whole candidate
-        # array and its one tolist() peaked at 67.2 MB here
+        # one block of candidates, their Python floats, their records and
+        # their arrays, about 0.5 MB at 3 * 10**4 and 3 * 10**5 samples (0.4 MB
+        # while each record was dropped after its predicate call, 1.5 MB while
+        # each accepted record held a __dict__ to the end of its block); the
+        # whole candidate array and its one tolist() peaked at 67.2 MB here
         half_space = REGIONS["half_space"]
         assert self.traced_peak(constrained_min_over_region, 1.7, half_space, 3 * 10**5) < 1.6e6
 
@@ -795,6 +815,26 @@ class TestArrayPathsKeepBits:
             assert all(len(b) <= 2 * _BLOCK for b in mixed)
             assert same_bits(np.concatenate([np.empty((0, 3)), *pure]), want_pure)
             assert same_bits(np.concatenate([np.empty((0, 3)), *mixed]), want_mixed)
+
+    # the draws run at half scale: twice each is uniform(-1, 1)'s draw, four
+    # times its squared norms are the full-scale ones, and the mask keeps the
+    # first n rows of the ball; at each n the n-th in-ball row lies inside a
+    # draw whose later rows include in-ball rows that are not samples
+    @pytest.mark.parametrize("n", [1, 63, 4_097, 8_193, 16_385])
+    def test_cube_draws_at_half_scale(self, n):
+        for seed in range(3):
+            blocks, r2s, masks = zip(*_cube_blocks(n, seed, _BLOCK))
+            draws = np.concatenate(blocks)
+            assert np.all(np.abs(draws) <= 0.5)
+            want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=draws.shape)
+            assert same_bits(draws * 2.0, want)
+            assert same_bits(np.concatenate(r2s) * 4.0, _row_norms_sq(want))
+            in_ball, mask = _row_norms_sq(want) <= 1.0, np.concatenate(masks)
+            last = np.flatnonzero(mask)[-1]
+            assert np.count_nonzero(mask) == n
+            assert same_bits(mask, in_ball & (np.arange(len(mask)) <= last))
+            assert in_ball[last + 1 :].any()
+            assert same_bits(np.concatenate(list(_mixed_blocks(n, seed, _BLOCK))), want[mask])
 
     @pytest.mark.parametrize(
         "q", [0.05, 0.3, 0.5, 0.85, 1.0, 1.1, 1.2, Q_STAR, 1.5, 2.0, 3.0, 7.5, math.inf]

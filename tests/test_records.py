@@ -14,6 +14,7 @@ import dataclasses
 import inspect
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from mzduality import (
     QubitState,
     RegionMinimum,
     UncertaintyVerdict,
+    constrained_min_over_region,
 )
 from mzduality.cli import _JsonArray
-from mzduality.qubit import _Record
+from mzduality.entropic import _REGION_BLOCK
+from mzduality.qubit import _checked_bloch, _checked_rows, _Record
 
 VEC = BlochVector(0.6, 0.0, 0.8)
 HOLDS = UncertaintyVerdict(1.0, 0.5, 0.5, True, False)
@@ -179,6 +182,54 @@ class TestFrozenRecords:
             assert values_of(twin, names) == values
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(twin, names[0], None)
+
+
+class TestSlottedBlochVector:
+    # computed norm 1 + 3 * 2**-52: the norm rule rescales it to a vector whose
+    # norm still rounds above 1, so a copy rebuilt through __init__ would move
+    # its bits
+    RAW = (-0.24143519364866614, 0.9053463551849369, -0.34936660461638686)
+    # BlochVector(0.6, 0.0, 0.8) pickled while its fields lived in a __dict__
+    OLD_PICKLES = [
+        b"ccopy_reg\n_reconstructor\np0\n(cmzduality.qubit\nBlochVector\np1\nc__builtin__\n"
+        b"object\np2\nNtp3\nRp4\n(dp5\nVsx\np6\nF0.6\nsVsy\np7\nF0.0\nsVsz\np8\nF0.8\nsb.",
+        b"\x80\x02cmzduality.qubit\nBlochVector\nq\x00)\x81q\x01}q\x02(X\x02\x00\x00\x00sxq"
+        b"\x03G?\xe3333333X\x02\x00\x00\x00syq\x04G\x00\x00\x00\x00\x00\x00\x00\x00X\x02\x00"
+        b"\x00\x00szq\x05G?\xe9\x99\x99\x99\x99\x99\x9aub.",
+    ]
+
+    def test_fields_live_in_slots(self):
+        assert BlochVector.__slots__ == ("sx", "sy", "sz")
+        assert not hasattr(VEC, "__dict__")
+        with pytest.raises(TypeError):
+            vars(VEC)
+        with pytest.raises(TypeError):
+            weakref.ref(VEC)
+
+    def test_pickle_and_copy_keep_a_rescaled_vector(self):
+        (row,) = _checked_rows(np.array([self.RAW])).tolist()
+        bv = _checked_bloch(*row)
+        assert bv.as_tuple() == BlochVector(*self.RAW).as_tuple() != self.RAW
+        assert bv.norm > 1.0 and BlochVector(*row).as_tuple() != tuple(row)
+        twins = [pickle.loads(pickle.dumps(bv, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*twins, copy.copy(bv), copy.deepcopy(bv)]:
+            assert type(twin) is BlochVector and twin == bv
+            assert [x.hex() for x in twin.as_tuple()] == [x.hex() for x in row]
+
+    def test_pickles_of_the_dict_class_still_load(self):
+        for data in self.OLD_PICKLES:
+            bv = pickle.loads(data)
+            assert type(bv) is BlochVector and bv.as_tuple() == (0.6, 0.0, 0.8)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                bv.sx = 0.0
+
+    def test_region_candidates_have_float_fields(self):
+        seen = []
+        n = 3 * _REGION_BLOCK + 1  # blocks of the sweep, the sphere and the ball
+        constrained_min_over_region(1.0, lambda bv: seen.append(bv) or True, n, seed=4)
+        assert len(seen) == n
+        assert all(type(bv) is BlochVector for bv in seen)
+        assert {type(x) for bv in seen for x in bv.as_tuple()} == {float}
 
 
 class TestBlochObservable:
