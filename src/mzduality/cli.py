@@ -12,10 +12,11 @@ and the active tolerances. Identical invocations produce byte-identical
 output on the same Python, numpy and C library, on CPUs that take the
 same libm variant (glibc picks its ``log``, ``pow`` or ``cos`` by CPU
 features). The JSON text is exactly ``json.dumps(payload, indent=2)`` plus
-a newline. Every table float is spelled by "%": "%.17g" in CSV and "%r" in
-JSON, which is json's spelling of a finite float, the only kind a table
-holds. The mz and qscan tables are formatted and written in blocks of
-rows, one "%" per block; contour writes one grid row at a time.
+a newline. Every table float is spelled as "%.17g" in CSV and as its repr
+in JSON ("%r" in a template), which is json's spelling of a finite float,
+the only kind a table holds. The mz and qscan tables are formatted and
+written in blocks of rows, one "%" per block; contour writes one grid row
+at a time.
 Each command ``cmd_x(ns)`` takes the namespace of every parsed option,
 checks the ones it reads and returns ``(code, fields, csv)``: its exit
 code, its JSON fields after "meta", and its CSV chunks after the metadata
@@ -153,13 +154,19 @@ def _table(template: str, sep: str, rows: Iterable[tuple]) -> Iterator[str]:
         yield sep.join([template] * (len(fields) // len(first))) % fields
 
 
-def _spelled(fmt: str, xs: Sequence[float]) -> list[str]:
-    """fmt % x for each float x, with one "%": "%.17g" for CSV, "%r" for JSON.
+def _spelled(xs: Sequence[float]) -> list[str]:
+    """format(x, ".17g") for each float x, with one "%" for the whole list.
 
-    For a finite Python float "%r" is json's own spelling; only such floats
-    reach a JSON table (its ``inf`` and ``nan`` are not JSON).
+    For CSV. A JSON table spells a finite Python float with ``repr``, which
+    is json's own spelling; only such floats reach a JSON table (its ``inf``
+    and ``nan`` are not JSON).
     """
-    return ((fmt + "\n") * len(xs) % tuple(xs)).split("\n")[:-1]
+    return (("%.17g\n" * len(xs)) % tuple(xs)).split("\n")[:-1]
+
+
+def _reprs(xs: Iterable[float]) -> list[str]:
+    """repr(x) for each float x: a JSON table's spelling of its cells."""
+    return list(map(repr, xs))
 
 
 def _grid_cells(n: int) -> list[None]:
@@ -168,20 +175,43 @@ def _grid_cells(n: int) -> list[None]:
     return _slots(n * n, f"n {n}: no memory for the {n} x {n} = {n * n} cells")
 
 
-def _symmetric_rows(h: Sequence[float], fmt: str, cells: list) -> Iterator[list[str]]:
+def _symmetric_rows(
+    h: Sequence[float], spell: Callable[[list[float]], list[str]], cells: list
+) -> Iterator[list[str]]:
     """Row by row, the strings of the exactly symmetric matrix h_i + h_j.
 
-    Only the cells on and above the diagonal are spelled with fmt; each
-    string is mirrored into the cell below the diagonal that equals it.
-    ``cells`` has n * n slots: row i from i * n, column i every n-th from i.
+    Only the cells on and above the diagonal are spelled, by spell (a list
+    of floats to a list of strings); each string is mirrored into the cell
+    below the diagonal that equals it. ``cells`` has n * n slots: row i from
+    i * n, column i every n-th from i. Once row i is handed out its slots
+    are emptied, so only the strings that later rows still need stay alive:
+    at most about n * n / 4 of them, halfway down.
     """
     n = len(h)
     for i, hi in enumerate(h):
         k = i * n
-        upper = _spelled(fmt, [hi + hj for hj in h[i:]])
+        upper = spell([hi + hj for hj in h[i:]])
         cells[k + i : k + n] = upper
         cells[k + i :: n] = upper
         yield cells[k : k + n]
+        cells[k : k + n] = [None] * n
+
+
+def _csv_grid_rows(axis: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    """For each row i of value strings, the CSV lines "v_i,p_j,value_ij" over j.
+
+    axis holds the spelled v_i (= p_i). One parts list of 4 * n slots serves
+    every row: its ",p_j," and newline slots are filled once, and each row
+    refills only its v and value slots.
+    """
+    n = len(axis)
+    parts = [""] * (4 * n)
+    parts[1::4] = ["," + p + "," for p in axis]
+    parts[3::4] = ["\n"] * n
+    for v, row in zip(axis, rows):
+        parts[0::4] = [v] * n
+        parts[2::4] = row
+        yield "".join(parts)
 
 
 _JSON_ITEM_SEP = ",\n    "  # between the items of a top-level array under indent=2
@@ -367,7 +397,7 @@ def cmd_contour(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
         "axis": _JsonArray(_table("%r", _JSON_ITEM_SEP, zip(axis))),
         "values": _JsonArray(
             "[" + inner + ("," + inner).join(row) + "\n    ]"
-            for row in _symmetric_rows(h, "%r", cells)
+            for row in _symmetric_rows(h, _reprs, cells)
         ),
     }
     head = _lines([
@@ -376,13 +406,7 @@ def cmd_contour(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
         f"# constraint: {ContourGrid.constraint}",
         "v,p,value",
     ])
-    # row i is "v_i,p_j,value_ij" over j; the numeric axis strings hold no "%"
-    spelled = _spelled("%.17g", axis)
-    templates = [f",{p},%s\n" for p in spelled]
-    rows = (
-        v + v.join(templates) % tuple(row)
-        for v, row in zip(spelled, _symmetric_rows(h, "%.17g", cells))
-    )
+    rows = _csv_grid_rows(_spelled(axis), _symmetric_rows(h, _spelled, cells))
     return 0, fields, chain([head], rows)
 
 

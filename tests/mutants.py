@@ -255,6 +255,27 @@ MUTANTS = [
         "",
         ["tests/test_cli.py", "-k", "golden and contour"],
     ),
+    # the contour CSV rows put each p_j where v_i goes and v_i after it
+    (
+        "cli.py",
+        '    parts[1::4] = ["," + p + "," for p in axis]\n'
+        '    parts[3::4] = ["\\n"] * n\n'
+        "    for v, row in zip(axis, rows):\n"
+        "        parts[0::4] = [v] * n\n",
+        '    parts[0::4] = ["," + p + "," for p in axis]\n'
+        '    parts[3::4] = ["\\n"] * n\n'
+        "    for v, row in zip(axis, rows):\n"
+        "        parts[1::4] = [v] * n\n",
+        ["tests/test_cli.py", "-k", "contour and bytes_match"],
+    ),
+    # a written contour row keeps its strings, so every cell string stays
+    # alive to the end
+    (
+        "cli.py",
+        "        cells[k : k + n] = [None] * n\n",
+        "",
+        ["tests/test_cli.py", "-k", "memory_holds_a_quarter"],
+    ),
 ]
 
 

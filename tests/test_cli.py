@@ -39,6 +39,7 @@ from mzduality.cli import (
     _JsonArray,
     _meta_dict,
     _meta_lines,
+    _reprs,
     _spelled,
     _symmetric_rows,
     _table,
@@ -622,6 +623,22 @@ def test_mz_json_memory_holds_no_column_strings(tmp_path):
     assert peak < 16e6
 
 
+def test_contour_memory_holds_a_quarter_of_the_cells(tmp_path):
+    # each row's slots are emptied once it is written, so at most the
+    # strings later rows still need, about n * n / 4, are alive: about
+    # 26.5 MB at n = 1025; keeping every cell string peaked at 44.2 MB
+    out = tmp_path / "contour.csv"
+    tracemalloc.start()
+    try:
+        code = main(["contour", "--n", "1025", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.read_text().count("\n") == 8 + 1025 * 1025  # 8 metadata and header lines
+    assert peak < 35e6
+
+
 def test_contour_csv(capsys):
     code, out, _ = run(capsys, "contour", "--q", "1", "--n", "32")
     assert code == 0
@@ -1178,6 +1195,20 @@ def test_contour_bytes_match_reference_serializer(capsys, fmt, q, n):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    ("q", "n"), [("1.37", 129), ("0.7", 513), ("1e-300", 33), ("1e300", 33)],
+    ids=["cli-default-n", "benchmark-n", "tiny-q", "huge-q"],
+)
+def test_contour_bytes_match_reference_at_wide_sizes_and_extreme_q(capsys, fmt, q, n):
+    # the default side, the benchmark's side and the extreme indices; the
+    # matrix above keeps to small sides
+    argv = ["--format", fmt, "contour", "--q", q, "--n", str(n)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == _reference_contour(argv, fmt, float(q), n).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bloch", ["0,0,1", "0.6,0,0.8", "-0.3,0.2,-0.1"])
 @pytest.mark.parametrize("phases", [8, 13, 997, 1023, 1024, 1025, 2049])
 def test_mz_bytes_match_reference_serializer(capsys, fmt, bloch, phases):
@@ -1192,12 +1223,12 @@ EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1]
 
 def test_csv_row_emitter_matches_format():
     xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0, math.inf, -math.inf, math.nan]
-    assert _spelled("%.17g", xs) == [format(x, ".17g") for x in xs]
-    assert _spelled("%.17g", EDGE_FLOATS) == [
+    assert _spelled(xs) == [format(x, ".17g") for x in xs]
+    assert _spelled(EDGE_FLOATS) == [
         "-0", "4.9406564584124654e-324", "10000000000000000", "9.9999999999999995e-08",
         "0.10000000000000001",
     ]
-    assert _spelled("%.17g", []) == []
+    assert _spelled([]) == []
 
 
 def random_finite_doubles(n: int, seed: int) -> list[float]:
@@ -1210,9 +1241,9 @@ def random_finite_doubles(n: int, seed: int) -> list[float]:
 def test_json_row_emitter_matches_json_dumps():
     xs = EDGE_FLOATS + [-1e-300, 1.0, 2.0 / 3.0] + random_finite_doubles(10**5, 23)
     assert len(xs) > 99_000
-    assert _spelled("%r", xs) == [json.dumps(x) for x in xs]
-    assert _spelled("%r", EDGE_FLOATS) == ["-0.0", "5e-324", "1e+16", "1e-07", "0.1"]
-    assert _spelled("%r", []) == []
+    assert _reprs(xs) == [json.dumps(x) for x in xs]
+    assert _reprs(EDGE_FLOATS) == ["-0.0", "5e-324", "1e+16", "1e-07", "0.1"]
+    assert _reprs([]) == []
 
 
 def _refuse_constant(name: str):
@@ -1231,10 +1262,10 @@ JSON_TABLES = [
 
 
 def test_json_tables_hold_only_finite_floats(capsys):
-    # "%r" is json's spelling only for a finite float: it writes inf and
+    # repr is json's spelling only for a finite float: it writes inf and
     # nan, which json writes as Infinity and NaN
     non_finite = [math.inf, -math.inf, math.nan]
-    assert _spelled("%r", non_finite) == ["inf", "-inf", "nan"]
+    assert _reprs(non_finite) == ["inf", "-inf", "nan"]
     assert [json.dumps(x) for x in non_finite] == ["Infinity", "-Infinity", "NaN"]
     for argv in JSON_TABLES:
         code, out, _ = run(capsys, "--format", "json", *argv)
@@ -1249,16 +1280,19 @@ def test_symmetric_rows_match_per_cell_formatting():
     h = list(EDGE_FLOATS)
     values = np.add.outer(h, h)
     assert np.array_equal(values, values.T)
-    for fmt, fmt_cell in (("%.17g", lambda x: format(x, ".17g")), ("%r", json.dumps)):
-        rows = list(_symmetric_rows(h, fmt, [None] * len(h) ** 2))
+    for spell, fmt_cell in ((_spelled, lambda x: format(x, ".17g")), (_reprs, json.dumps)):
+        cells = [None] * len(h) ** 2
+        rows = list(_symmetric_rows(h, spell, cells))
         assert rows == [[fmt_cell(x) for x in row] for row in values.tolist()]
+        # every row's slots are emptied once the next row is asked for
+        assert cells == [None] * len(h) ** 2
 
 
 def test_json_chunks_match_json_dumps():
     payload = {
         "meta": {"a": [1, "x"], "b": {}, "c": []},
         "empty": _JsonArray([]),
-        "floats": _JsonArray(_spelled("%r", EDGE_FLOATS)),
+        "floats": _JsonArray(_reprs(EDGE_FLOATS)),
         "n": 3,
     }
     plain = dict(payload, empty=[], floats=EDGE_FLOATS)
