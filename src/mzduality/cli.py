@@ -21,7 +21,12 @@ Each command ``cmd_x(ns)`` takes the namespace of every parsed option,
 checks the ones it reads and returns ``(code, fields, csv)``: its exit
 code, its JSON fields after "meta", and its CSV chunks after the metadata
 lines. Only ``main`` writes: the metadata, then the body of the chosen
-format, whose rows are computed as it is written.
+format, whose rows are computed as it is written. So a usage error is
+raised before any output is written or any --out file exists.
+The command line is read from one option table (``_COMMON`` and
+``_COMMANDS``) by one loop, ``_parse``, rather than by argparse, which
+would load gettext and locale at every start; ``json`` is imported only
+by ``_json_chunks``, so a CSV run never loads it.
 Angles are radians; floats are printed with 17 significant digits. Exit
 codes: 0 success, 1 usage or validation error, or stdout closed by its
 reader (nothing more is written and stderr stays empty), 2 property

@@ -91,7 +91,9 @@ def fringe_scan(state: QubitState, n_phases: int) -> FringeScan:
     For each phi the state passes a phase shifter then a beam splitter and
     detector D1 clicks with probability w_plus of the output state. That
     output has sz = -(sx cos phi - sy sin phi), so the whole scan is the
-    closed form p_d1 = (1 - (sx cos phi - sy sin phi))/2 over the grid.
+    closed form p_d1 = (1 - (sx cos phi - sy sin phi))/2 over the grid
+    2 pi i / n_phases, evaluated on Python floats with ``math.cos`` and
+    ``math.sin``; that gives the bits of the same expression in numpy.
     A count whose n_phases list slots cannot be had raises MemoryError at once.
     """
     _check_count("n_phases", n_phases, 8)

@@ -329,7 +329,10 @@ class QubitState(_Record):
 
     @classmethod
     def from_weights(cls, w_plus: float, r: float, theta: float, **kw) -> "QubitState":
-        """Build from the (w+, r, theta) parametrization; ``kw`` (eps_pos) goes to ``from_bloch``."""
+        """Build from the (w+, r, theta) parametrization.
+
+        ``kw`` (eps_pos) goes to ``from_bloch``.
+        """
         if not 0.0 <= w_plus <= 1.0:
             raise ValueError(f"w_plus must lie in [0, 1], got {w_plus!r}")
         _check_nonnegative("r", r)
@@ -383,8 +386,9 @@ class BlochObservable(_Record):
     """Sharp two-level observable alpha1*I + alpha2*(axis . sigma).
 
     The axis must be a nonzero unit vector (within eps_unit, which must be
-    finite and nonnegative); it is stored exactly normalized. Eigenvalues are alpha1 +/- alpha2, so alpha2 = 0 would be a
-    multiple of the identity and is rejected.
+    finite and nonnegative); an axis with a NaN component fails that check.
+    The axis is stored divided by its norm. Eigenvalues are alpha1 +/- alpha2,
+    so alpha2 = 0 would be a multiple of the identity and is rejected.
     """
 
     alpha1: float

@@ -271,7 +271,11 @@ def pv_audit(
     eps_gap, as the other two legs do. A bias of 1 + 1 ulp against one below
     1 makes (1 - P^2)(1 - V^2) negative; the absolute value keeps scale
     positive there, so the LP leg reports what the other two do (scale is 0
-    only at (P, V) = (0, 1) and (1, 0), where every gap is 0). A leg's
+    only at (P, V) = (0, 1) and (1, 0), where every gap is 0). Judged on its
+    own scale, the LP gap would saturate near-pure mixed states (1 - |s|^2
+    up to about 2.8 eps_gap) that the other two legs do not, and a pure
+    state stored with a last-ulp norm error near the poles or the equator
+    would show an LP gap above 1e-9. A leg's
     verdicts differ from those of the exact gap only where 1 - P^2 - V^2
     lies within 4 ulp(1) of +-eps_gap.
     Floats are evaluated by math and give plain floats and bools (see ``_xp``);

@@ -276,6 +276,39 @@ MUTANTS = [
         "",
         ["tests/test_cli.py", "-k", "memory_holds_a_quarter"],
     ),
+    # an observable's axis component is multiplied by the norm, not divided,
+    # so an axis off unit length within eps_unit is stored off it too
+    (
+        "qubit.py",
+        "(ax / n, ay / n, az / n)",
+        "(ax * n, ay / n, az / n)",
+        ["tests/test_qubit.py", "-k", "off_unit_axis"],
+    ),
+    (
+        "qubit.py",
+        "(ax / n, ay / n, az / n)",
+        "(ax / n, ay * n, az / n)",
+        ["tests/test_qubit.py", "-k", "off_unit_axis"],
+    ),
+    (
+        "qubit.py",
+        "(ax / n, ay / n, az / n)",
+        "(ax / n, ay / n, az * n)",
+        ["tests/test_qubit.py", "-k", "off_unit_axis"],
+    ),
+    # a probability of exactly -EPS_NORM, or of exactly 1 + EPS_NORM, is refused
+    (
+        "qubit.py",
+        "-EPS_NORM <= p <= 1.0 + EPS_NORM",
+        "-EPS_NORM < p <= 1.0 + EPS_NORM",
+        ["tests/test_qubit.py", "-k", "range_is_closed"],
+    ),
+    (
+        "qubit.py",
+        "-EPS_NORM <= p <= 1.0 + EPS_NORM",
+        "-EPS_NORM <= p < 1.0 + EPS_NORM",
+        ["tests/test_qubit.py", "-k", "range_is_closed"],
+    ),
 ]
 
 

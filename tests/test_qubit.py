@@ -23,7 +23,7 @@ from mzduality import (
     probabilities,
     variance,
 )
-from mzduality.qubit import EPS_POS, _checked_bloch, _checked_rows, _Floats
+from mzduality.qubit import EPS_NORM, EPS_POS, _checked_bloch, _checked_rows, _Floats
 
 INV_SQRT2 = 2.0**-0.5
 SIGMA_Z = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0))
@@ -240,6 +240,15 @@ class TestBlochObservable:
         obs = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0 + 1e-13))
         assert obs.axis[2] == 1.0
 
+    # each component is divided by the norm: an axis off unit length by
+    # 9e-13, within eps_unit, is stored within 2 ulp of unit length, where
+    # a component multiplied by the norm instead misses by over 1000 ulp
+    @pytest.mark.parametrize("scale", [1.0 + 9e-13, 1.0 - 9e-13])
+    @pytest.mark.parametrize("axis", [(0.48, 0.6, 0.64), (0.36, 0.48, 0.8)])
+    def test_off_unit_axis_is_stored_at_unit_length(self, axis, scale):
+        obs = BlochObservable(0.0, 1.0, tuple(a * scale for a in axis))
+        assert abs(math.hypot(*obs.axis) - 1.0) <= 2.0 * 2.0**-52
+
     def test_eigenvalues(self):
         obs = BlochObservable(2.0, 3.0, (1.0, 0.0, 0.0))
         assert obs.eigenvalues == (5.0, -1.0)
@@ -275,6 +284,11 @@ class TestBornRule:
         clamped = ProbPair(-5e-16, 1.0 + 5e-16)
         assert clamped.p_plus == 0.0
         assert clamped.p_minus == 1.0
+
+    def test_prob_pair_range_is_closed_at_its_tolerance(self):
+        # the range [-EPS_NORM, 1 + EPS_NORM] includes both ends, which are clamped
+        pair = ProbPair(-EPS_NORM, 1.0 + EPS_NORM)
+        assert pair.as_tuple() == (0.0, 1.0)
 
     @pytest.mark.parametrize(
         ("pair", "message"),

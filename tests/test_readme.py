@@ -3,7 +3,8 @@
 The library quick start prints what its comments say; every command-line
 example exits 0, and the trimmed qscan transcript is the real output. A
 constant quoted as `module.NAME = value` has that value in the code, and
-the block sizes are never quoted as bare numbers.
+the block sizes are never quoted as bare numbers. Every `module.name` it
+cites exists in the package, and every test it names exists under tests/.
 """
 
 from __future__ import annotations
@@ -125,3 +126,38 @@ def test_block_sizes_are_quoted_only_by_name():
     for n in (_ROW_BLOCK, _BLOCK, 2 * _BLOCK):
         for spelled in (str(n), f"{n:,}".replace(",", " ")):
             assert not re.search(rf"(?<![\w.]){spelled}(?![\w.])", bare), spelled
+
+
+SPAN = re.compile(r"`([^`\n]+)`")  # a backticked span
+CITED_NAME = re.compile(r"(?<![\w.])(qubit|interferometer|uncertainty|entropic|cli)\.(\w+)")
+CITED_TEST = re.compile(r"(?<![\w./])(test_\w+|Test\w+)(?![\w.])")  # not a file path
+
+
+def cited(pattern: re.Pattern) -> set:
+    """Every match of pattern inside a backticked span of README."""
+    spans = SPAN.findall(README.read_text(encoding="utf-8"))
+    return {match for span in spans for match in pattern.findall(span)}
+
+
+def test_cited_package_names_exist():
+    import importlib
+
+    names = cited(CITED_NAME)
+    assert {("cli", "main"), ("entropic", "_BLOCK")} <= names
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(names)
+        if not hasattr(importlib.import_module(f"mzduality.{module}"), name)
+    ]
+    assert not missing
+
+
+def test_cited_tests_exist():
+    defined = set()
+    for path in README.parent.joinpath("tests").glob("*.py"):
+        defined.add(path.stem)
+        text = path.read_text(encoding="utf-8")
+        defined.update(re.findall(r"^[ \t]*(?:def|class) (\w+)", text, re.M))
+    names = cited(CITED_TEST)
+    assert "TestExactVerdicts" in names
+    assert not names - defined, sorted(names - defined)
