@@ -43,6 +43,7 @@ from types import SimpleNamespace
 from . import __version__
 from .entropic import (
     _BLOCK,
+    _INV_SQRT2,
     BAND_EPS,
     LN2,
     ContourGrid,
@@ -384,8 +385,7 @@ def cmd_qscan(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
 
 def cmd_qstar(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     q_star = _flagged("--tol", find_q_star, ns.tol, name="tolerance")
-    inv = 1.0 / math.sqrt(2.0)
-    residual = entropy_sum(inv, inv, q_star) - LN2
+    residual = entropy_sum(_INV_SQRT2, _INV_SQRT2, q_star) - LN2
     lines = ["quantity,value", f"q_star,{_fmt(q_star)}", f"residual,{_fmt(residual)}"]
     return 0, {"q_star": q_star, "residual": residual}, [_lines(lines)]
 

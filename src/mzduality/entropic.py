@@ -33,7 +33,6 @@ from .qubit import (
     _check_count,
     _check_finite,
     _check_nonnegative,
-    _checked_bloch,
     _checked_blochs,
     _checked_rows,
     _Record,
@@ -57,8 +56,7 @@ _HALF_PI = math.pi / 2.0
 # the oracle's sweeps and verify: a float64 column of a block is about 64 kB,
 # below glibc's default mmap threshold, so its temporaries reuse heap pages
 _BLOCK = 1 << 13
-# candidate rows per block of the region minimizer: a block's rows, their
-# Python floats and its arrays trace about 0.4 MB
+# candidate rows per block of the region minimizer
 _REGION_BLOCK = 1 << 11
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # the oracle's pruning: arc angles per run that share one lower bound, cells
@@ -593,7 +591,8 @@ def constrained_min_over_region(
                 best_val, best = val, row
     if not n_accepted:
         raise ValueError("region predicate rejected every sampled state")
-    return RegionMinimum(min_value=best_val, argmin=_checked_bloch(*best), n_accepted=n_accepted)
+    (argmin,) = _checked_blochs(*[[x] for x in best])
+    return RegionMinimum(min_value=best_val, argmin=argmin, n_accepted=n_accepted)
 
 
 def _pure_blocks(n: int, seed: int, rows: int):

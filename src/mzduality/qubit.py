@@ -77,13 +77,12 @@ class _Record:
     field's default is the class attribute of its name. ``__init__`` binds
     arguments to fields by a dataclass's rules and stores them in field
     order; its ``TypeError`` names the class and the argument, worded a
-    little apart from Python's own. It costs about 2 us a record, by
-    position or by keyword, against 0.4-0.8 us for a hand-written one.
-    Records that validate or coerce their input, or need a fresh default,
-    keep their own ``__init__``. Equality and hash go over the field
-    values, the repr is the one a dataclass prints, and assignment or
-    deletion raises ``dataclasses.FrozenInstanceError``; ``dataclasses``
-    (and the inspect and ast modules it loads) is imported only then.
+    little apart from Python's own. Records that validate or coerce their
+    input, or need a fresh default, keep their own ``__init__``. Equality
+    and hash go over the field values, the repr is the one a dataclass
+    prints, and assignment or deletion raises
+    ``dataclasses.FrozenInstanceError``; ``dataclasses`` (and the inspect
+    and ast modules it loads) is imported only then.
     """
 
     __slots__ = ()  # a subclass keeps its __dict__ unless it names its own slots
@@ -287,25 +286,14 @@ def _checked_rows(rows, eps_pos: float = EPS_POS):
     return rows
 
 
-def _checked_bloch(sx: float, sy: float, sz: float) -> BlochVector:
-    """The BlochVector of a row that ``_checked_rows`` has checked, its floats stored as given.
+def _checked_blochs(sx: list, sy: list, sz: list) -> list[BlochVector]:
+    """The BlochVectors of rows that ``_checked_rows`` has checked, their floats stored as given.
 
     A checked row already holds the bits that ``BlochVector(*raw_row)``
-    stores, so this skips the coercion, the norm and the rule.
-    """
-    bv = object.__new__(BlochVector)
-    _set_sx(bv, sx)
-    _set_sy(bv, sy)
-    _set_sz(bv, sz)
-    return bv
-
-
-def _checked_blochs(sx: list, sy: list, sz: list) -> list[BlochVector]:
-    """``_checked_bloch`` of each row, given as three lists of floats, in C-level passes.
-
-    One pass makes the records with ``object.__new__`` and one pass per
-    field stores its floats through the slot's setter; no Python function
-    runs per row.
+    stores, so this skips the coercion, the norm and the rule. The rows
+    come as three lists of floats. One pass makes the records with
+    ``object.__new__`` and one pass per field stores its floats through the
+    slot's setter; no Python function runs per row.
     """
     records = list(map(object.__new__, repeat(BlochVector, len(sx))))
     for setter, values in ((_set_sx, sx), (_set_sy, sy), (_set_sz, sz)):
@@ -385,26 +373,25 @@ MAXIMALLY_MIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
 class BlochObservable(_Record):
     """Sharp two-level observable alpha1*I + alpha2*(axis . sigma).
 
-    The axis must be a nonzero unit vector (within eps_unit, which must be
-    finite and nonnegative); an axis with a NaN component fails that check.
-    The axis is stored divided by its norm. Eigenvalues are alpha1 +/- alpha2,
-    so alpha2 = 0 would be a multiple of the identity and is rejected.
+    The axis must be a unit vector within EPS_UNIT = 1e-12; a zero axis,
+    or one with a NaN component, fails that check. The axis is stored
+    divided by its norm. Eigenvalues are alpha1 +/- alpha2, so alpha2 = 0
+    would be a multiple of the identity and is rejected.
     """
 
     alpha1: float
     alpha2: float
     axis: Vec3
 
-    def __init__(self, alpha1: float, alpha2: float, axis: Vec3, eps_unit: float = EPS_UNIT) -> None:
+    def __init__(self, alpha1: float, alpha2: float, axis: Vec3) -> None:
         alpha1, alpha2 = float(alpha1), float(alpha2)
         if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
             raise ValueError(f"alpha1, alpha2 must be finite, got {alpha1!r}, {alpha2!r}")
         if alpha2 == 0.0:
             raise ValueError("alpha2 must be nonzero (observable would be trivial)")
-        _check_nonnegative("eps_unit", eps_unit)
         ax, ay, az = map(float, axis)
         n = math.sqrt(ax * ax + ay * ay + az * az)
-        if n == 0.0 or not abs(n - 1.0) <= eps_unit:  # also rejects NaN components
+        if not abs(n - 1.0) <= EPS_UNIT:  # also rejects NaN components
             raise ValueError(f"axis must be a unit vector: ||a|| = {n!r}")
         fields = self.__dict__
         fields["alpha1"] = alpha1

@@ -42,9 +42,11 @@ _BIAS_MAX = 1.0 + 2.0**-52  # the largest P or V of a state: V = 1 + 1 ulp
 class UncertaintyVerdict(_Record):
     """Evaluated inequality: both sides, the slack, and the boolean verdicts.
 
-    ``gap`` is oriented so that the relation holds iff gap >= -eps_gap,
-    regardless of whether the underlying inequality reads >= or <=. The LP
-    leg of the equivalence audit judges gap * scale instead (see ``pv_audit``).
+    ``gap`` is oriented so that the relation holds iff gap >= -EPS_GAP and
+    is saturated iff |gap| <= EPS_GAP, regardless of whether the underlying
+    inequality reads >= or <=. A caller who wants another threshold compares
+    ``gap`` with it. ``pv_audit`` and ``equivalence_audit`` judge at their
+    ``eps_gap``, and their LP leg judges gap * scale (see ``pv_audit``).
     """
 
     lhs: float
@@ -55,16 +57,14 @@ class UncertaintyVerdict(_Record):
 
 
 def _verdict(lhs: float, rhs: float, gap: float, eps_gap: float) -> UncertaintyVerdict:
-    """The verdict on gap; every relation and pv_audit reach eps_gap's one check here."""
-    _check_nonnegative("eps_gap", eps_gap)
     return UncertaintyVerdict(lhs, rhs, gap, gap >= -eps_gap, abs(gap) <= eps_gap)
 
 
-def _verdict_geq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
+def _verdict_geq(lhs: float, rhs: float, eps_gap: float = EPS_GAP) -> UncertaintyVerdict:
     return _verdict(lhs, rhs, lhs - rhs, eps_gap)
 
 
-def _verdict_leq(lhs: float, rhs: float, eps_gap: float) -> UncertaintyVerdict:
+def _verdict_leq(lhs: float, rhs: float, eps_gap: float = EPS_GAP) -> UncertaintyVerdict:
     return _verdict(lhs, rhs, rhs - lhs, eps_gap)
 
 
@@ -84,7 +84,6 @@ def sr_relation(
     obs_a: BlochObservable,
     obs_b: BlochObservable,
     state: QubitState,
-    eps_gap: float = EPS_GAP,
 ) -> UncertaintyVerdict:
     """Schrodinger-Robertson in normalized qubit form.
 
@@ -96,14 +95,13 @@ def sr_relation(
     da, db, ab = _dot(a, s), _dot(b, s), _dot(a, b)
     lhs = (1.0 - da * da) * (1.0 - db * db)
     rhs = (ab - da * db) ** 2 + _dot(_cross(a, b), s) ** 2
-    return _verdict_geq(lhs, rhs, eps_gap)
+    return _verdict_geq(lhs, rhs)
 
 
 def hr_relation(
     obs_a: BlochObservable,
     obs_b: BlochObservable,
     state: QubitState,
-    eps_gap: float = EPS_GAP,
 ) -> UncertaintyVerdict:
     """Heisenberg-Robertson: SR with the covariance term dropped.
 
@@ -113,10 +111,10 @@ def hr_relation(
     da, db = _dot(a, s), _dot(b, s)
     lhs = (1.0 - da * da) * (1.0 - db * db)
     rhs = _dot(_cross(a, b), s) ** 2
-    return _verdict_geq(lhs, rhs, eps_gap)
+    return _verdict_geq(lhs, rhs)
 
 
-def sr_pv_form(state: QubitState, phi: float, eps_gap: float = EPS_GAP) -> UncertaintyVerdict:
+def sr_pv_form(state: QubitState, phi: float) -> UncertaintyVerdict:
     """SR for the which-way and fringe observables, in P, V, theta variables.
 
     (1 - P^2)(1 - V^2 cos^2(theta - phi)) >=
@@ -131,7 +129,7 @@ def sr_pv_form(state: QubitState, phi: float, eps_gap: float = EPS_GAP) -> Uncer
     sn = math.sin(state.theta - phi)
     lhs = (1.0 - p * p) * (1.0 - v * v * c * c)
     rhs = p * p * v * v * c * c + v * v * sn * sn
-    return _verdict_geq(lhs, rhs, eps_gap)
+    return _verdict_geq(lhs, rhs)
 
 
 def max_prob(obs: BlochObservable, state: QubitState) -> float:
@@ -143,7 +141,6 @@ def lp_relation(
     obs_a: BlochObservable,
     obs_b: BlochObservable,
     state: QubitState,
-    eps_gap: float = EPS_GAP,
 ) -> UncertaintyVerdict:
     """Landau-Pollak relation in angle form.
 
@@ -154,14 +151,13 @@ def lp_relation(
         _safe_sqrt(max_prob(obs_b, state))
     )
     rhs = _clamped_acos(overlap(obs_a, obs_b))
-    return _verdict_geq(lhs, rhs, eps_gap)
+    return _verdict_geq(lhs, rhs)
 
 
 def lp_product_form(
     obs_a: BlochObservable,
     obs_b: BlochObservable,
     state: QubitState,
-    eps_gap: float = EPS_GAP,
 ) -> UncertaintyVerdict:
     """LP rearranged free of arccos.
 
@@ -171,14 +167,13 @@ def lp_product_form(
     ma, mb = max_prob(obs_a, state), max_prob(obs_b, state)
     lhs = _safe_sqrt(ma * mb) - _safe_sqrt((1.0 - ma) * (1.0 - mb))
     rhs = overlap(obs_a, obs_b)
-    return _verdict_leq(lhs, rhs, eps_gap)
+    return _verdict_leq(lhs, rhs)
 
 
 def lp_qubit_form(
     obs_a: BlochObservable,
     obs_b: BlochObservable,
     state: QubitState,
-    eps_gap: float = EPS_GAP,
 ) -> UncertaintyVerdict:
     """LP product form doubled into Bloch dot products.
 
@@ -192,14 +187,14 @@ def lp_qubit_form(
     x, y = abs(_dot(a, s)), abs(_dot(b, s))
     lhs = _safe_sqrt((1.0 + x) * (1.0 + y)) - _safe_sqrt((1.0 - x) * (1.0 - y))
     rhs = 2.0 * overlap(obs_a, obs_b)
-    return _verdict_leq(lhs, rhs, eps_gap)
+    return _verdict_leq(lhs, rhs)
 
 
-def duality_inequality(state: QubitState, eps_gap: float = EPS_GAP) -> UncertaintyVerdict:
+def duality_inequality(state: QubitState) -> UncertaintyVerdict:
     """P^2 + V^2 <= 1, saturated exactly by pure states."""
     p = predictability(state)
     v = visibility(state)
-    return _verdict_leq(p * p + v * v, 1.0, eps_gap)
+    return _verdict_leq(p * p + v * v, 1.0)
 
 
 class EquivalenceAudit(_Record):
@@ -214,18 +209,6 @@ class EquivalenceAudit(_Record):
     duality: UncertaintyVerdict
     sr: UncertaintyVerdict
     lp: UncertaintyVerdict
-
-    @property
-    def duality_holds(self) -> bool:
-        return self.duality.holds
-
-    @property
-    def sr_holds(self) -> bool:
-        return self.sr.holds
-
-    @property
-    def lp_holds(self) -> bool:
-        return self.lp.holds
 
     @property
     def all_hold(self) -> bool:
@@ -290,8 +273,8 @@ def pv_audit(
 
 def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
     """``pv_audit`` without its P and V check, for biases known to lie in [0, 1 + 2**-52]."""
+    _check_nonnegative("eps_gap", eps_gap)
     pp, vv = p * p, v * v
-    duality = _verdict_leq(pp + vv, 1.0, eps_gap)  # first: it checks eps_gap for all three legs
     sr_lhs = (1.0 - pp) * (1.0 - vv)
     xp = _xp(sr_lhs)  # the type P and V broadcast to
     ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
@@ -300,7 +283,7 @@ def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
     scale = (xp.sqrt(xp.abs(sr_lhs)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
     scaled = lp_gap * scale  # the duality gap, up to rounding
     return EquivalenceAudit(
-        duality=duality,
+        duality=_verdict_leq(pp + vv, 1.0, eps_gap),
         sr=_verdict_geq(sr_lhs, pp * v * v, eps_gap),
         lp=UncertaintyVerdict(
             lp_lhs, _LP_RHS, lp_gap, scaled >= -eps_gap, xp.abs(scaled) <= eps_gap

@@ -277,7 +277,7 @@ MUTANTS = [
         ["tests/test_cli.py", "-k", "memory_holds_a_quarter"],
     ),
     # an observable's axis component is multiplied by the norm, not divided,
-    # so an axis off unit length within eps_unit is stored off it too
+    # so an axis off unit length within EPS_UNIT is stored off it too
     (
         "qubit.py",
         "(ax / n, ay / n, az / n)",
@@ -295,6 +295,42 @@ MUTANTS = [
         "(ax / n, ay / n, az / n)",
         "(ax / n, ay / n, az * n)",
         ["tests/test_qubit.py", "-k", "off_unit_axis"],
+    ),
+    # the operational visibility multiplies by p_max + p_min, which an
+    # even grid makes about 1
+    (
+        "interferometer.py",
+        "(p_max - p_min) / (p_max + p_min)",
+        "(p_max - p_min) * (p_max + p_min)",
+        ["tests/test_interferometer.py", "-k", "TestFringeScan"],
+    ),
+    # an array of biases takes 0, or 1 + 2**-52, as the entry to refuse,
+    # and then refuses none
+    (
+        "uncertainty.py",
+        "(x >= 0.0) & (x <= _BIAS_MAX)",
+        "(x > 0.0) & (x <= _BIAS_MAX)",
+        ["tests/test_uncertainty.py", "-k", "first_entry_past"],
+    ),
+    (
+        "uncertainty.py",
+        "(x >= 0.0) & (x <= _BIAS_MAX)",
+        "(x >= 0.0) & (x < _BIAS_MAX)",
+        ["tests/test_uncertainty.py", "-k", "first_entry_past"],
+    ),
+    # the LP leg's scaled gap of exactly 0 no longer holds, or no longer
+    # saturates, at eps_gap = 0
+    (
+        "uncertainty.py",
+        "scaled >= -eps_gap,",
+        "scaled > -eps_gap,",
+        ["tests/test_uncertainty.py", "-k", "scale_is_zero"],
+    ),
+    (
+        "uncertainty.py",
+        "xp.abs(scaled) <= eps_gap",
+        "xp.abs(scaled) < eps_gap",
+        ["tests/test_uncertainty.py", "-k", "scale_is_zero"],
     ),
     # a probability of exactly -EPS_NORM, or of exactly 1 + EPS_NORM, is refused
     (

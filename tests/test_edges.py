@@ -3,6 +3,8 @@
 Each call either gives its documented result, with no NaN anywhere in it,
 or raises a ValueError whose text names the parameter, or the quantity
 that fails (``||s||`` for a Bloch component, ``||a||`` for an axis one).
+The tolerances the API no longer takes stay in the sweep: at every value,
+passing one raises a TypeError that names it, so none is silently read.
 The other arguments stay at ordinary values. Storage-only records (the
 result classes) keep what they are given and are not swept; the records
 that validate their input are.
@@ -46,7 +48,7 @@ from mzduality import (
     visibility_op,
     visibility_perp_op,
 )
-from mzduality.qubit import EPS_POS, EPS_UNIT
+from mzduality.qubit import EPS_POS
 
 EDGES = [
     0.0,
@@ -71,14 +73,15 @@ SIGMA_X = BlochObservable(0.0, 1.0, (1.0, 0.0, 0.0))
 GRID = contour_grid(1.5, 32)
 
 
-def observable(alpha1, alpha2, ax, ay, az, eps_unit):
+def observable(alpha1, alpha2, ax, ay, az, **rest):
     """BlochObservable with its axis spelled out, so each component is a parameter."""
-    return BlochObservable(alpha1, alpha2, (ax, ay, az), eps_unit=eps_unit)
+    return BlochObservable(alpha1, alpha2, (ax, ay, az), **rest)
 
 
 VECTOR = dict(sx=0.0, sy=0.0, sz=0.5, eps_pos=EPS_POS)
 OVER = dict(sx=2.0, sy=0.0, sz=0.0)  # a norm above 1, so eps_pos is read
 RELATION = dict(obs_a=SIGMA_Z, obs_b=SIGMA_X, state=STATE)
+GONE = ()  # the names of a parameter the API no longer takes
 
 # (callable, its other arguments, the parameter swept, the names its error may give)
 SWEEP = [
@@ -88,20 +91,21 @@ SWEEP = [
     (QubitState.from_weights, dict(w_plus=0.5, r=0.25, theta=0.3), "w_plus", ("w_plus", "||s||")),
     (QubitState.from_weights, dict(w_plus=0.5, r=0.25, theta=0.3), "r", ("r", "||s||")),
     (QubitState.from_weights, dict(w_plus=0.5, r=0.25, theta=0.3), "theta", ("theta",)),
-    *[(observable, dict(alpha1=0.0, alpha2=1.0, ax=0.0, ay=0.0, az=1.0, eps_unit=EPS_UNIT), name,
-       names) for name, names in (("alpha1", ("alpha1",)), ("alpha2", ("alpha2",)),
-                                  ("ax", ("axis", "||a||")), ("ay", ("axis", "||a||")),
-                                  ("az", ("axis", "||a||")), ("eps_unit", ("eps_unit",)))],
+    *[(observable, dict(alpha1=0.0, alpha2=1.0, ax=0.0, ay=0.0, az=1.0), name, names)
+      for name, names in (("alpha1", ("alpha1",)), ("alpha2", ("alpha2",)),
+                          ("ax", ("axis", "||a||")), ("ay", ("axis", "||a||")),
+                          ("az", ("axis", "||a||")))],
+    (observable, dict(alpha1=0.0, alpha2=1.0, ax=0.0, ay=0.0, az=1.0), "eps_unit", GONE),
     (ProbPair, dict(p_plus=0.5, p_minus=0.5), "p_plus", ("p_plus", "sum to 1")),
     (ProbPair, dict(p_plus=0.5, p_minus=0.5), "p_minus", ("p_minus", "sum to 1")),
     (apply_phase_shifter, dict(state=STATE), "phi", ("phi",)),
     (visibility_op, {}, "phi", ("phi",)),
     (visibility_perp_op, {}, "phi", ("phi",)),
-    *[(f, RELATION, "eps_gap", ("eps_gap",))
+    *[(f, RELATION, "eps_gap", GONE)
       for f in (sr_relation, hr_relation, lp_relation, lp_product_form, lp_qubit_form)],
-    (sr_pv_form, dict(state=STATE, eps_gap=1e-9), "phi", ("phi",)),
-    (sr_pv_form, dict(state=STATE, phi=0.3), "eps_gap", ("eps_gap",)),
-    (duality_inequality, dict(state=STATE), "eps_gap", ("eps_gap",)),
+    (sr_pv_form, dict(state=STATE), "phi", ("phi",)),
+    (sr_pv_form, dict(state=STATE, phi=0.3), "eps_gap", GONE),
+    (duality_inequality, dict(state=STATE), "eps_gap", GONE),
     (equivalence_audit, dict(state=STATE), "eps_gap", ("eps_gap",)),
     (pv_audit, dict(p=0.6, v=0.8), "p", ("P",)),
     (pv_audit, dict(p=0.6, v=0.8), "v", ("V",)),
@@ -148,6 +152,10 @@ def names_one_of(message: str, names: tuple[str, ...]) -> bool:
     ids=[f"{call.__qualname__}-{param}" for call, _, param, _ in SWEEP],
 )
 def test_edge_float_gives_a_result_or_a_named_error(call, others, param, names, x):
+    if names is GONE:
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{param}'$"):
+            call(**{**others, param: x})
+        return
     try:
         result = call(**{**others, param: x})
     except ValueError as exc:
@@ -167,7 +175,7 @@ def float_parameters(f) -> set[str]:
 
 
 def test_sweep_covers_every_exported_float_parameter():
-    swept = {(call, param) for call, _, param, _ in SWEEP}
+    swept = {(call, param) for call, _, param, names in SWEEP if names is not GONE}
     for name in mzduality.__all__:
         f = getattr(mzduality, name)
         if callable(f):

@@ -186,6 +186,13 @@ class TestFringeScan:
             scan = fringe_scan(QubitState.from_bloch(*s), 100)
             assert scan.p_max + scan.p_min == pytest.approx(1.0, abs=1e-12)
 
+    def test_odd_grid_divides_by_the_sum_of_the_extremes(self):
+        # an odd grid does not pair phi with phi + pi, so p_max + p_min is
+        # not 1 here and the operational visibility must divide by it
+        scan = fringe_scan(QubitState.from_bloch(1.0, 0.0, 0.0), 9)
+        assert scan.p_min == 0.0 and scan.p_max < 0.97
+        assert scan.v_operational == 1.0
+
     def test_tracks_analytic_visibility(self):
         blochs = np.vstack(
             [random_pure_bloch(4, seed=101), random_mixed_bloch(4, seed=102)]

@@ -23,7 +23,7 @@ from mzduality import (
     probabilities,
     variance,
 )
-from mzduality.qubit import EPS_NORM, EPS_POS, _checked_bloch, _checked_rows, _Floats
+from mzduality.qubit import EPS_NORM, EPS_POS, _checked_blochs, _checked_rows, _Floats
 
 INV_SQRT2 = 2.0**-0.5
 SIGMA_Z = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0))
@@ -119,7 +119,7 @@ class TestBlochVector:
         rescaled = (checked != raw).any(axis=1)
         assert np.count_nonzero(rescaled) == 2_064
         want = [BlochVector(*row) for row in raw.tolist()]
-        got = [_checked_bloch(*row) for row in checked.tolist()]
+        got = _checked_blochs(*checked.T.tolist())
         assert all(type(bv) is BlochVector for bv in got)
         fields = np.array([bv.as_tuple() for bv in got])
         assert fields.tobytes() == np.array([bv.as_tuple() for bv in want]).tobytes()
@@ -224,16 +224,19 @@ class TestBlochObservable:
 
     @pytest.mark.parametrize("eps_unit", [math.nan, -1.0, math.inf])
     def test_bad_eps_unit_refused_by_name(self, eps_unit):
-        # unchecked, an infinite eps_unit divides a zero axis by its zero
-        # norm, and a NaN or negative one calls a unit axis not unit
+        # the axis tolerance is EPS_UNIT alone: no value of a caller's is read
         for axis in ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)):
-            with pytest.raises(ValueError, match="eps_unit must be finite and nonnegative"):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'eps_unit'$"):
                 BlochObservable(0.0, 1.0, axis, eps_unit=eps_unit)
 
     @pytest.mark.parametrize("eps_unit", [1.0, 2.0, 1e300])
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (5e-324, 0.0, 0.0)])
     def test_zero_axis_refused_at_any_tolerance(self, axis, eps_unit):
+        # a tolerance of 1 or more would let a zero axis through the unit
+        # check, so none is taken, and the zero axis fails at EPS_UNIT
         with pytest.raises(ValueError, match=r"axis must be a unit vector: \|\|a\|\| = 0.0"):
+            BlochObservable(0.0, 1.0, axis)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'eps_unit'$"):
             BlochObservable(0.0, 1.0, axis, eps_unit=eps_unit)
 
     def test_axis_normalized_within_tolerance(self):
@@ -241,7 +244,7 @@ class TestBlochObservable:
         assert obs.axis[2] == 1.0
 
     # each component is divided by the norm: an axis off unit length by
-    # 9e-13, within eps_unit, is stored within 2 ulp of unit length, where
+    # 9e-13, within EPS_UNIT, is stored within 2 ulp of unit length, where
     # a component multiplied by the norm instead misses by over 1000 ulp
     @pytest.mark.parametrize("scale", [1.0 + 9e-13, 1.0 - 9e-13])
     @pytest.mark.parametrize("axis", [(0.48, 0.6, 0.64), (0.36, 0.48, 0.8)])

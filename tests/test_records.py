@@ -34,7 +34,7 @@ from mzduality import (
 )
 from mzduality.cli import _JsonArray
 from mzduality.entropic import _REGION_BLOCK
-from mzduality.qubit import _checked_bloch, _checked_rows, _Record
+from mzduality.qubit import _checked_blochs, _checked_rows, _Record
 
 VEC = BlochVector(0.6, 0.0, 0.8)
 HOLDS = UncertaintyVerdict(1.0, 0.5, 0.5, True, False)
@@ -208,7 +208,7 @@ class TestSlottedBlochVector:
 
     def test_pickle_and_copy_keep_a_rescaled_vector(self):
         (row,) = _checked_rows(np.array([self.RAW])).tolist()
-        bv = _checked_bloch(*row)
+        (bv,) = _checked_blochs(*[[x] for x in row])
         assert bv.as_tuple() == BlochVector(*self.RAW).as_tuple() != self.RAW
         assert bv.norm > 1.0 and BlochVector(*row).as_tuple() != tuple(row)
         twins = [pickle.loads(pickle.dumps(bv, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -233,15 +233,14 @@ class TestSlottedBlochVector:
 
 
 class TestBlochObservable:
-    def test_eps_unit_defaults_and_is_not_a_field(self):
-        assert inspect.signature(BlochObservable).parameters["eps_unit"].default == 1e-12
+    def test_eps_unit_is_not_a_parameter_or_field(self):
+        assert list(inspect.signature(BlochObservable).parameters) == ["alpha1", "alpha2", "axis"]
         with pytest.raises(ValueError):
             BlochObservable(0.0, 1.0, (0.0, 0.0, 1.001))
-        loose = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.001), eps_unit=1e-2)
-        assert loose == BlochObservable(0.0, 1.0, (0.0, 0.0, 1.001), 1e-2)
-        assert loose.axis == (0.0, 0.0, 1.0)
-        assert repr(loose) == "BlochObservable(alpha1=0.0, alpha2=1.0, axis=(0.0, 0.0, 1.0))"
-        assert "eps_unit" not in vars(loose)
+        obs = BlochObservable(0.0, 1.0, (0.0, 0.0, 1.0 + 1e-13))
+        assert obs.axis == (0.0, 0.0, 1.0)
+        assert repr(obs) == "BlochObservable(alpha1=0.0, alpha2=1.0, axis=(0.0, 0.0, 1.0))"
+        assert list(vars(obs)) == ["alpha1", "alpha2", "axis"]
 
     def test_fields_coerced(self):
         obs = BlochObservable(1, 2, [0, 0, 1])

@@ -240,12 +240,7 @@ class TestEquivalenceAudit:
     @pytest.mark.parametrize("eps_gap", [math.nan, -1.0, -5e-324, math.inf], ids=repr)
     def test_bad_eps_gap_is_refused_by_name(self, eps_gap):
         state = QubitState.from_bloch(0.6, 0.0, 0.8)
-        a, b = predictability_op(), visibility_op(0.3)
-        relations = (sr_relation, hr_relation, lp_relation, lp_product_form, lp_qubit_form)
         calls = [
-            *(partial(relation, a, b, state, eps_gap) for relation in relations),
-            partial(sr_pv_form, state, 0.3, eps_gap),
-            partial(duality_inequality, state, eps_gap),
             partial(equivalence_audit, state, eps_gap),
             partial(pv_audit, np.array([0.0, 0.6]), np.array([1.0, 0.8]), eps_gap),
         ]
@@ -256,7 +251,7 @@ class TestEquivalenceAudit:
 
     def test_duality_holds_flags(self):
         audit = equivalence_audit(SUPER)
-        assert audit.duality_holds and audit.sr_holds and audit.lp_holds
+        assert audit.duality.holds and audit.sr.holds and audit.lp.holds
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -361,6 +356,16 @@ class TestPvAudit:
             with pytest.raises(ValueError, match=want):
                 pv_audit(*args)
 
+    @pytest.mark.parametrize(
+        ("p", "want"),
+        [([0.0, -1.0], "finite and nonnegative, got -1.0"),
+         ([1.0 + 2.0**-52, 2.0], "at most 1 + 2**-52, the largest bias of a state, got 2.0")],
+    )
+    def test_an_array_refusal_names_the_first_entry_past_the_edge_biases(self, p, want):
+        # 0 and 1 + 2**-52 are biases of states, so the entry named is the next one
+        with pytest.raises(ValueError, match="^P must be " + re.escape(want) + "$"):
+            pv_audit(np.array(p), np.array([0.5, 0.5]))
+
     def test_biases_past_one_are_audited_not_refused(self):
         # a unit equatorial vector may give V = 1 + 1 ulp, and it saturates;
         # one ulp more is refused
@@ -385,6 +390,14 @@ class TestPvAudit:
             assert (leg.gap, leg.holds, leg.saturated) == (gap, True, True)
         for leg in (outside.duality, outside.sr):
             assert (leg.gap, leg.holds, leg.saturated) == (gap, gap > 0.0, False)
+
+    @pytest.mark.parametrize(("p", "v"), [(1.0, 0.0), (0.0, 1.0)])
+    def test_every_leg_saturates_at_zero_eps_gap_where_scale_is_zero(self, p, v):
+        # there the LP leg judges a scaled gap of exactly 0, as the other
+        # two legs judge theirs
+        audit = pv_audit(p, v, 0.0)
+        for leg in (audit.duality, audit.sr, audit.lp):
+            assert leg.holds and leg.saturated
 
     def test_slightly_mixed_states_stay_unsaturated(self):
         # 1 - |s|^2 = 1e-8 is ten times eps_gap in the duality gap, so no
