@@ -58,7 +58,7 @@ from .entropic import (
     minimize_entropy_sum,
 )
 from .interferometer import apply_beam_splitter, fringe_scan, predictability, visibility
-from .qubit import EPS_POS, QubitState, _check_count, _checked_rows, _Record, _slots
+from .qubit import EPS_POS, QubitState, _check_count, _checked_rows, _slots
 from .uncertainty import EPS_GAP, _pv_audit, equivalence_audit
 
 TYPE_CHECKING = False  # PEP 781: typing itself is never imported
@@ -223,29 +223,24 @@ def _csv_grid_rows(axis: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
 _JSON_ITEM_SEP = ",\n    "  # between the items of a top-level array under indent=2
 
 
-class _JsonArray(_Record):
-    """The value of a top-level field that is a JSON array, streamed item by item.
-
-    Each item is already encoded the way json.dumps(payload, indent=2)
-    writes an item of such an array: inner lines indented by six spaces,
-    a closing bracket by four. An item may also be a run of items joined
-    by ``_JSON_ITEM_SEP``.
-    """
-
-    items: Iterable[str]
-
-
 def _json_chunks(payload: dict) -> Iterator[str]:
-    """json.dumps(payload, indent=2) + "\n", one field or array item at a time."""
+    """json.dumps(payload, indent=2) + "\n", one field or array item at a time.
+
+    A field whose value is an iterator (it has ``__next__``) is a JSON array
+    streamed item by item. Each item it yields is already encoded the way
+    json.dumps(payload, indent=2) writes an item of a top-level array:
+    inner lines indented by six spaces, a closing bracket by four. An item
+    may also be a run of items joined by ``_JSON_ITEM_SEP``.
+    """
     import json
 
     sep = "{\n  "
     for key, value in payload.items():
         yield sep + json.dumps(key) + ": "
         sep = ",\n  "
-        if isinstance(value, _JsonArray):
+        if hasattr(value, "__next__"):
             item_sep = "[\n    "
-            for item in value.items:
+            for item in value:
                 yield item_sep + item
                 item_sep = _JSON_ITEM_SEP
             yield "[]" if item_sep == "[\n    " else "\n  ]"
@@ -293,7 +288,7 @@ def cmd_state(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
         ("lp_saturated", _fmt_bool(audit.lp.saturated)),
         ("all_agree_on_saturation", _fmt_bool(audit.all_agree_on_saturation)),
     ]
-    fields = {"state": state.to_dict(), "report": dict(scalars)}
+    fields = {"state": {"s": list(state.bloch.as_tuple())}, "report": dict(scalars)}
     return 0, fields, [_lines(["quantity,value", *(f"{k},{v}" for k, v in scalars)])]
 
 
@@ -304,7 +299,7 @@ def cmd_mz(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     rows = zip(scan.phases, scan.p_d1, scan.p_d2)
     row = '{\n      "phi": %r,\n      "p_d1": %r,\n      "p_d2": %r\n    }'
     fields = {
-        "rows": _JsonArray(_table(row, _JSON_ITEM_SEP, rows)),
+        "rows": _table(row, _JSON_ITEM_SEP, rows),
         "p_max": scan.p_max,
         "p_min": scan.p_min,
         "v_operational": scan.v_operational,
@@ -345,7 +340,7 @@ def cmd_verify(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
     fields = {
         "checked": ns.n,
         "agreed": agreed,
-        "violations": _JsonArray(_table(item, _JSON_ITEM_SEP, violations)),
+        "violations": _table(item, _JSON_ITEM_SEP, violations),
         "all_hold": ok,
     }
     head = f"quantity,value\nchecked,{ns.n}\nagreed,{agreed}\nall_hold,{_fmt_bool(ok)}\n"
@@ -372,10 +367,10 @@ def cmd_qscan(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
         '\n      "minimizers": [\n        %s\n      ]\n    }'
     )
     pair = "[\n          %r,\n          %r\n        ]"
-    fields = {"rows": _JsonArray(_table(row, _JSON_ITEM_SEP, (
+    fields = {"rows": _table(row, _JSON_ITEM_SEP, (
         (q, regime, res.min_value, ",\n        ".join([pair % vp for vp in res.minimizers]))
         for q, regime, res in rows
-    )))}
+    ))}
     csv = _table("%.17g,%s,%.17g,%s\n", "", (
         (q, regime, res.min_value, ";".join(["%.17g:%.17g" % vp for vp in res.minimizers]))
         for q, regime, res in rows
@@ -399,8 +394,8 @@ def cmd_contour(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
         "q": ns.q,
         "n": ns.n,
         "constraint": ContourGrid.constraint,
-        "axis": _JsonArray(_table("%r", _JSON_ITEM_SEP, zip(axis))),
-        "values": _JsonArray(
+        "axis": _table("%r", _JSON_ITEM_SEP, zip(axis)),
+        "values": (
             "[" + inner + ("," + inner).join(row) + "\n    ]"
             for row in _symmetric_rows(h, _reprs, cells)
         ),

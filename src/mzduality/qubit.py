@@ -26,16 +26,11 @@ Vec3 = tuple[float, float, float]
 
 
 class _Floats:
-    """The numpy functions the float-or-array kernels call, done by math so floats keep math's bits.
-
-    ``maximum`` returns b on ties and NaN if either is NaN, as ``np.maximum``
-    does, so ``maximum(-0.0, 0.0)`` is 0.0.
-    """
+    """The numpy functions the float-or-array kernels call, done by math so floats keep math's bits."""
 
     sqrt = staticmethod(math.sqrt)
     abs = staticmethod(abs)
     hypot = staticmethod(math.hypot)
-    maximum = staticmethod(lambda a, b: a if a > b or a != a else b)
     log = staticmethod(math.log)
     expm1 = staticmethod(math.expm1)
     log1p = staticmethod(math.log1p)
@@ -244,14 +239,6 @@ class BlochVector(_Record):
     def as_tuple(self) -> Vec3:
         return (self.sx, self.sy, self.sz)
 
-    def to_dict(self) -> dict:
-        return {"s": [self.sx, self.sy, self.sz]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BlochVector":
-        sx, sy, sz = data["s"]
-        return cls(float(sx), float(sy), float(sz))
-
 
 # the slots' setters, which store a field past the frozen __setattr__
 _set_sx, _set_sy, _set_sz = (getattr(BlochVector, name).__set__ for name in BlochVector._fields)
@@ -359,13 +346,6 @@ class QubitState(_Record):
     def is_pure(self) -> bool:
         return abs(self.bloch.norm - 1.0) <= EPS_PURE
 
-    def to_dict(self) -> dict:
-        return self.bloch.to_dict()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QubitState":
-        return cls(BlochVector.from_dict(data))
-
 
 MAXIMALLY_MIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
 
@@ -401,14 +381,6 @@ class BlochObservable(_Record):
     @property
     def eigenvalues(self) -> tuple[float, float]:
         return (self.alpha1 + self.alpha2, self.alpha1 - self.alpha2)
-
-    def to_dict(self) -> dict:
-        return {"alpha1": self.alpha1, "alpha2": self.alpha2, "axis": list(self.axis)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BlochObservable":
-        ax, ay, az = data["axis"]
-        return cls(float(data["alpha1"]), float(data["alpha2"]), (float(ax), float(ay), float(az)))
 
 
 class ProbPair(_Record):

@@ -277,8 +277,8 @@ def _pv_audit(p, v, eps_gap: float) -> EquivalenceAudit:
     pp, vv = p * p, v * v
     sr_lhs = (1.0 - pp) * (1.0 - vv)
     xp = _xp(sr_lhs)  # the type P and V broadcast to
-    ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0
-    lp_lhs = xp.sqrt(ma * mb) - xp.sqrt(xp.maximum((1.0 - ma) * (1.0 - mb), 0.0))
+    ma, mb = (1.0 + p) / 2.0, (1.0 + v) / 2.0  # at most 1: 2 + 2**-52 rounds to 2
+    lp_lhs = xp.sqrt(ma * mb) - xp.sqrt((1.0 - ma) * (1.0 - mb))
     lp_gap = _LP_RHS - lp_lhs
     scale = (xp.sqrt(xp.abs(sr_lhs)) + p * v) * (math.sqrt(2.0) + 2.0 * lp_lhs)
     scaled = lp_gap * scale  # the duality gap, up to rounding

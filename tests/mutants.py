@@ -276,6 +276,21 @@ MUTANTS = [
         "",
         ["tests/test_cli.py", "-k", "memory_holds_a_quarter"],
     ),
+    # a JSON field that is a list or a dict, not only an iterator, is
+    # streamed as an array of its items
+    (
+        "cli.py",
+        'hasattr(value, "__next__")',
+        'hasattr(value, "__iter__")',
+        ["tests/test_cli.py", "-k", "golden and json"],
+    ),
+    # the JSON state field lists the Bloch components in the wrong order
+    (
+        "cli.py",
+        '{"s": list(state.bloch.as_tuple())}',
+        '{"s": list(state.bloch.as_tuple())[::-1]}',
+        ["tests/test_cli.py", "-k", "golden and json"],
+    ),
     # an observable's axis component is multiplied by the norm, not divided,
     # so an axis off unit length within EPS_UNIT is stored off it too
     (

@@ -36,7 +36,6 @@ from mzduality.cli import (
     _JSON_ITEM_SEP,
     _ROW_BLOCK,
     _json_chunks,
-    _JsonArray,
     _meta_dict,
     _meta_lines,
     _reprs,
@@ -96,6 +95,25 @@ def test_state_json_report(capsys):
     assert payload["meta"]["seed"] == 0
     assert payload["state"] == {"s": [0.0, 0.0, 0.0]}
     assert payload["report"]["duality_saturated"] == "false"
+
+
+@pytest.mark.parametrize(
+    "flag, value, make, rescaled",
+    [
+        ("--bloch", "0.3,-0.45,0.2", QubitState.from_bloch, False),
+        ("--wrt", "0.3,0.2,1.1", QubitState.from_weights, False),
+        ("--bloch", "0.6,0,0.8000000001", QubitState.from_bloch, True),  # norm 1 + 8e-11
+    ],
+    ids=["bloch", "wrt", "rescaled"],
+)
+def test_json_state_field_keeps_the_stored_bits(capsys, flag, value, make, rescaled):
+    code, out, _ = run(capsys, "--format", "json", "state", flag, value)
+    assert code == 0
+    given = tuple(map(float, value.split(",")))
+    stored = make(*given).bloch.as_tuple()
+    assert [x.hex() for x in json.loads(out)["state"]["s"]] == [x.hex() for x in stored]
+    if flag == "--bloch":  # only a norm above 1 moves the bits
+        assert (stored != given) == rescaled
 
 
 def test_state_weight_parametrization(capsys):
@@ -517,6 +535,18 @@ def test_qscan_regimes(capsys):
     assert [r[1] for r in rows] == ["I", "I", "III", "III"]
     assert float(rows[0][2]) == pytest.approx(LN2, abs=1e-9)
     assert rows[0][3].count(":") == 2  # two boundary minimizers
+
+
+@pytest.mark.parametrize("band, regime", [([], "II"), (["--tolerance", "band_eps=1e-9"], "III")])
+def test_qscan_regime_is_the_band_label(capsys, band, regime):
+    # q lies 4.2e-7 above q*: inside the default band, outside a 1e-9 one. The
+    # regime column labels that band; the minimizers beside it are the
+    # balanced point alone in both rows
+    q = "1.4313563"
+    code, out, _ = run(capsys, *band, "qscan", "--qmin", q, "--qmax", q, "--steps", "1")
+    assert code == 0
+    row = f"{q},{regime},0.69314706922043301,0.70710678118654746:0.70710678118654746\n"
+    assert out.endswith("q,regime,min_value,minimizers\n" + row)
 
 
 def test_qscan_json_structure(capsys):
@@ -1289,10 +1319,11 @@ def test_symmetric_rows_match_per_cell_formatting():
 
 
 def test_json_chunks_match_json_dumps():
+    # an iterator is streamed as an array of encoded items; a list is not an iterator
     payload = {
         "meta": {"a": [1, "x"], "b": {}, "c": []},
-        "empty": _JsonArray([]),
-        "floats": _JsonArray(_reprs(EDGE_FLOATS)),
+        "empty": iter([]),
+        "floats": iter(_reprs(EDGE_FLOATS)),
         "n": 3,
     }
     plain = dict(payload, empty=[], floats=EDGE_FLOATS)

@@ -316,11 +316,14 @@ class TestPvAudit:
 
     def test_floats_keep_the_array_bits(self):
         # the float path (math) and the array path (numpy) must round alike,
-        # signed zeros included; 1 + 2^-52 drives both clamps to zero
+        # signed zeros included; 1 + 2^-52 drives 1 - P^2 below zero and 1 - M_P to zero
         rows = np.vstack([random_pure_bloch(2000, 43), random_mixed_bloch(2000, 44)])
-        edge = [0.0, -0.0, 1.0, 0.6, 0.8, INV_SQRT2, 1e-8, 1.0 - 2.0**-53, 1.0 + 2.0**-52]
+        edge = [0.0, -0.0, 5e-324, 0.5, 1.0, 0.6, 0.8, INV_SQRT2, 1e-8, 1.0 - 2.0**-53, 1.0 + 2.0**-52]
         p = np.concatenate([_pv(rows)[0], np.repeat(edge, len(edge))])
         v = np.concatenate([_pv(rows)[1], np.tile(edge, len(edge))])
+        # M = (1 + X)/2 rounds to at most 1 for every bias X <= 1 + 2**-52, as
+        # 2 + 2**-52 ties to 2, so the LP leg's root needs no clamp at zero
+        assert not np.signbit((1.0 - (1.0 + p) / 2.0) * (1.0 - (1.0 + v) / 2.0)).any()
         array = pv_audit(p, v)
         for i, (pi, vi) in enumerate(zip(p.tolist(), v.tolist())):
             audit = pv_audit(pi, vi)
