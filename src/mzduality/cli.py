@@ -379,7 +379,7 @@ def cmd_qscan(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
 
 
 def cmd_qstar(ns: SimpleNamespace) -> tuple[int, dict, Iterable[str]]:
-    q_star = _flagged("--tol", find_q_star, ns.tol, name="tolerance")
+    q_star = find_q_star()
     residual = entropy_sum(_INV_SQRT2, _INV_SQRT2, q_star) - LN2
     lines = ["quantity,value", f"q_star,{_fmt(q_star)}", f"residual,{_fmt(residual)}"]
     return 0, {"q_star": q_star, "residual": residual}, [_lines(lines)]
@@ -441,9 +441,7 @@ _COMMANDS = {  # name -> (function, help, the command's own options)
         "--qmax": (float, 2.0, "QMAX", "largest Renyi index"),
         "--steps": (int, 8, "STEPS", "number of indices"),
     }),
-    "qstar": (cmd_qstar, "critical Renyi index q*", {
-        "--tol": (float, 1e-10, "TOL", "root tolerance"),
-    }),
+    "qstar": (cmd_qstar, "critical Renyi index q*", {}),
     "contour": (cmd_contour, "entropy-sum grid over the (V, P) square", {
         "--q": (float, 1.0, "Q", "Renyi index"),
         "--n": (int, 129, "N", "grid side"),

@@ -191,18 +191,14 @@ def minimize_entropy_sum(q: float) -> MinimizationResult:
 
 
 @functools.lru_cache(maxsize=None)
-def find_q_star(tolerance: float = 1e-10) -> float:
-    """Solve 2 H_q(1/sqrt 2) = ln 2 for the critical index q*.
+def find_q_star() -> float:
+    """The critical index q*, the root of g(q) = 2 H_q(1/sqrt 2) - ln 2, to the last bit.
 
-    Brackets the root in [1.01, 2] (the objective is +0.1398 at the left
-    end and -0.1178 at the right), verifies the sign change, then bisects
-    until the bracket is at most ``tolerance`` wide and returns its
-    midpoint, so the root lies within tolerance / 2. The residual of the
-    defining equation there is at most about 0.14 * tolerance (the slope
-    of the objective at q* is about -0.27).
+    Checks that g changes sign across [1.01, 2] (+0.1398 to -0.1178), then
+    bisects until the bracket holds two adjacent doubles and returns the
+    upper one, the least double on the bisection path where g <= 0. Cached,
+    so ``qstar`` and ``classify_regime`` share one value.
     """
-    if not 1e-14 <= tolerance <= 1e-3:
-        raise ValueError(f"tolerance must lie in [1e-14, 1e-3], got {tolerance!r}")
 
     def g(q: float) -> float:
         return 2.0 * _bias_entropy(_INV_SQRT2, q) - LN2
@@ -214,17 +210,16 @@ def find_q_star(tolerance: float = 1e-10) -> float:
             f"no sign change across [{lo}, {hi}]: g({lo}) = {glo!r}, "
             f"g({hi}) = {ghi!r}; the entropy evaluator is broken"
         )
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
+    while lo < (mid := (lo + hi) / 2.0) < hi:
         if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return hi
 
 
 def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:
-    """Regime label from the position of q relative to q*.
+    """Regime label from the position of q relative to q* (``find_q_star()``).
 
     Returns "II" inside the band |q - q*| <= band_eps, else "I" below and
     "III" above. Independent of minimize_entropy_sum's structural
@@ -232,7 +227,7 @@ def classify_regime(q: float, band_eps: float = BAND_EPS) -> str:
     """
     _check_q_minimization(q)
     _check_nonnegative("band_eps", band_eps)
-    q_star = find_q_star(1e-12)
+    q_star = find_q_star()
     if abs(q - q_star) <= band_eps:
         return "II"
     return "I" if q < q_star else "III"
@@ -437,14 +432,14 @@ class ContourGrid(_Record):
     ``values[i, j]`` holds H_q(V = axis[i]) + H_q(P = axis[j]); the matrix
     is exactly symmetric. The square deliberately extends beyond the
     physical disk P^2 + V^2 <= 1 so level sets can be drawn against the
-    constraint arc, recorded in ``constraint``.
+    constraint arc, named by the class constant ``constraint``.
     """
 
     q: float
     n: int
     axis: np.ndarray
     values: np.ndarray
-    constraint: str = "P^2+V^2=1"
+    constraint = "P^2+V^2=1"  # unannotated, so a class constant and not a field
 
     # compared by identity: its arrays have no single truth value
     __eq__ = object.__eq__

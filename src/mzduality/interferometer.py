@@ -22,15 +22,20 @@ from .qubit import (
     QubitState,
     _check_count,
     _check_finite,
+    _checked_blochs,
     _Record,
     _slots,
 )
 
 
 def apply_beam_splitter(state: QubitState) -> QubitState:
-    """Rotate by +pi/2 about y: (sx, sy, sz) -> (sz, sy, -sx)."""
+    """Rotate by +pi/2 about y: (sx, sy, sz) -> (sz, sy, -sx), the fields stored as permuted.
+
+    The norm rule is not run again: it would rescale a unit vector whose norm,
+    summed in the new order, rounds above 1. So four splitters are the identity.
+    """
     s = state.bloch
-    return QubitState(BlochVector(s.sz, s.sy, -s.sx))
+    return QubitState(*_checked_blochs([s.sz], [s.sy], [-s.sx]))
 
 
 def apply_phase_shifter(state: QubitState, phi: float) -> QubitState:

@@ -59,25 +59,21 @@ class _Signature:
             return None
         from inspect import Parameter as P, Signature
 
-        defaults = vars(cls)
-        return Signature(
-            [P(n, P.POSITIONAL_OR_KEYWORD, default=defaults.get(n, P.empty)) for n in cls._fields]
-        )
+        return Signature([P(n, P.POSITIONAL_OR_KEYWORD) for n in cls._fields])
 
 
 class _Record:
     """Base of the package's frozen records, in place of ``@dataclass(frozen=True)``.
 
-    The fields are the names annotated in the class body, in order, and a
-    field's default is the class attribute of its name. ``__init__`` binds
+    The fields are the names annotated in the class body, in order; none
+    has a default, so a class constant goes unannotated. ``__init__`` binds
     arguments to fields by a dataclass's rules and stores them in field
     order; its ``TypeError`` names the class and the argument, worded a
     little apart from Python's own. Records that validate or coerce their
-    input, or need a fresh default, keep their own ``__init__``. Equality
-    and hash go over the field values, the repr is the one a dataclass
-    prints, and assignment or deletion raises
-    ``dataclasses.FrozenInstanceError``; ``dataclasses`` (and the inspect
-    and ast modules it loads) is imported only then.
+    input keep their own ``__init__``. Equality and hash go over the field
+    values, the repr is the one a dataclass prints, and assignment or
+    deletion raises ``dataclasses.FrozenInstanceError``; ``dataclasses``
+    (and the inspect and ast modules it loads) is imported only then.
     """
 
     __slots__ = ()  # a subclass keeps its __dict__ unless it names its own slots
@@ -98,14 +94,11 @@ class _Record:
             if name in kwargs:
                 raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
             kwargs[name] = value
-        defaults, fields = vars(cls), self.__dict__
+        fields = self.__dict__
         for name in names:
-            if name in kwargs:
-                fields[name] = kwargs.pop(name)
-            elif name in defaults:
-                fields[name] = defaults[name]
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{cls.__qualname__}() missing required argument: {name!r}")
+            fields[name] = kwargs.pop(name)
         if kwargs:
             unknown = next(iter(kwargs))
             raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {unknown!r}")
@@ -274,13 +267,14 @@ def _checked_rows(rows, eps_pos: float = EPS_POS):
 
 
 def _checked_blochs(sx: list, sy: list, sz: list) -> list[BlochVector]:
-    """The BlochVectors of rows that ``_checked_rows`` has checked, their floats stored as given.
+    """The BlochVectors of rows known to lie in the unit ball, their floats stored as given.
 
-    A checked row already holds the bits that ``BlochVector(*raw_row)``
-    stores, so this skips the coercion, the norm and the rule. The rows
-    come as three lists of floats. One pass makes the records with
-    ``object.__new__`` and one pass per field stores its floats through the
-    slot's setter; no Python function runs per row.
+    A row that ``_checked_rows`` has checked holds the bits that
+    ``BlochVector(*raw_row)`` stores; a signed permutation of a vector's
+    fields lies in the ball too. So this skips the coercion, the norm and
+    the rule. The rows come as three lists of floats. One pass makes the
+    records with ``object.__new__`` and one pass per field stores its
+    floats through the slot's setter; no Python function runs per row.
     """
     records = list(map(object.__new__, repeat(BlochVector, len(sx))))
     for setter, values in ((_set_sx, sx), (_set_sy, sy), (_set_sz, sz)):

@@ -360,6 +360,45 @@ MUTANTS = [
         "-EPS_NORM <= p < 1.0 + EPS_NORM",
         ["tests/test_qubit.py", "-k", "range_is_closed"],
     ),
+    # the q* bisection keeps the wrong half of its bracket
+    (
+        "entropic.py",
+        "g(mid) > 0.0",
+        "g(mid) < 0.0",
+        ["tests/test_entropic.py", "-k", "TestCriticalIndex"],
+    ),
+    # the bisection passes the double where g is exactly 0 and ends 4 ulp
+    # higher, at another double where g <= 0 (g is not monotone within a
+    # few ulp of the root): the qstar golden bytes pin the path
+    (
+        "entropic.py",
+        "g(mid) > 0.0",
+        "g(mid) >= 0.0",
+        ["tests/test_cli.py", "-k", "golden_bytes and qstar"],
+    ),
+    # q* is the last double where the objective is still positive
+    (
+        "entropic.py",
+        "return hi",
+        "return lo",
+        ["tests/test_entropic.py", "-k", "TestCriticalIndex"],
+    ),
+    # the beam splitter puts its permuted fields through the norm rule again,
+    # which rescales a unit vector whose norm, summed in the new order,
+    # rounds above 1
+    (
+        "interferometer.py",
+        "QubitState(*_checked_blochs([s.sz], [s.sy], [-s.sx]))",
+        "QubitState(BlochVector(s.sz, s.sy, -s.sx))",
+        ["tests/test_interferometer.py", "-k", "unit_vectors_are_permuted_exactly"],
+    ),
+    # a record field gets a default again
+    (
+        "entropic.py",
+        'constraint = "P^2+V^2=1"',
+        'constraint: str = "P^2+V^2=1"',
+        ["tests/test_records.py", "-k", "no_field_defaults"],
+    ),
 ]
 
 

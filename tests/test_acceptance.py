@@ -65,7 +65,7 @@ def _equivalence_batch() -> tuple[QubitState, ...]:
 def test_c1_critical_index(capsys):
     find_q_star.cache_clear()
     start = time.perf_counter()
-    q_star = find_q_star(1e-10)
+    q_star = find_q_star()
     elapsed = time.perf_counter() - start
     err = abs(q_star - 1.4316)
     ok = err < 5e-4 and elapsed < 1.0
@@ -77,7 +77,7 @@ def test_c1_critical_index(capsys):
 
 
 def test_c2_regime_minima(capsys):
-    q_star = find_q_star(1e-10)
+    q_star = find_q_star()
     start = time.perf_counter()
     results = {q: minimize_entropy_sum(q) for q in (0.25, 0.5, 1.0, 1.3, 2.0, q_star)}
     elapsed = time.perf_counter() - start
@@ -190,7 +190,7 @@ def test_c6_lp_equivalence(capsys):
 
 
 def test_c7_brute_force_oracle(capsys):
-    q_star = find_q_star(1e-10)
+    q_star = find_q_star()
     start = time.perf_counter()
     problems: list[str] = []
     for q in (0.5, 1.0, q_star, 2.0):

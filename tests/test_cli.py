@@ -511,16 +511,29 @@ def test_verify_memory_is_constant_in_n(capsys):
 
 
 def test_qstar_command(capsys):
-    code, out, _ = run(capsys, "qstar", "--tol", "1e-10")
+    code, out, _ = run(capsys, "qstar")
     assert code == 0
     vals = csv_values(out)
-    assert float(vals["q_star"]) == pytest.approx(Q_STAR, abs=1e-8)
+    assert float(vals["q_star"]) == find_q_star() == pytest.approx(Q_STAR, abs=1e-8)
     assert abs(float(vals["residual"])) < 1e-9
 
 
 def test_qstar_bad_tolerance(capsys):
-    code, _, _ = run(capsys, "qstar", "--tol", "1e-20")
-    assert code == 1
+    # qstar takes no root tolerance: --tol is a prefix of --tolerance alone
+    assert run(capsys, "qstar", "--tol", "1e-10") == (
+        1, "", "mzduality: error: --tolerance expects NAME=VALUE, got '1e-10'\n"
+    )
+
+
+@pytest.mark.parametrize("side, regime", [(0, "II"), (-1, "I"), (1, "III")])
+def test_qscan_labels_the_printed_q_star_as_regime_ii(capsys, side, regime):
+    # qstar and qscan's band share one q*: the band of width 5e-324 holds it
+    # alone, and the doubles beside it fall on either side
+    q_star = float(csv_values(run(capsys, "qstar")[1])["q_star"])
+    q = repr(math.nextafter(q_star, q_star + side))
+    argv = ["--tolerance", "band_eps=5e-324", "qscan", "--qmin", q, "--qmax", q, "--steps", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1].split(",")[:2]) == (0, [q, regime])
 
 
 def test_qscan_regimes(capsys):
@@ -1116,7 +1129,7 @@ REFUSED = {
     "mz": ["mz", "--bloch", "0,0,1", "--phases", "7"],
     "verify": ["verify", "--n", "0"],
     "qscan": ["qscan", "--qmax", "2.5"],
-    "qstar": ["qstar", "--tol", "1e-20"],
+    "qstar": ["qstar", "--tolerance", "eps_gap=1e-20"],
     "contour": ["contour", "--n", "16"],
 }
 

@@ -52,7 +52,6 @@ OWN = {
     ("qscan", "--qmin"): SPELLINGS,
     ("qscan", "--qmax"): SPELLINGS,
     ("qscan", "--steps"): COUNTS,
-    ("qstar", "--tol"): SPELLINGS,
     ("contour", "--q"): SPELLINGS,
     ("contour", "--n"): SPELLINGS,
 }
@@ -115,7 +114,8 @@ def test_the_gate_covers_every_value_taking_flag():
 REFUSALS = [
     (["mz", "--bloch", "0,0,1", "--phases", "3"], "--phases must be at least 8, got 3"),
     (["contour", "--n", "3"], "--n must be at least 32, got 3"),
-    (["qstar", "--tol", "1"], "--tol must lie in [1e-14, 1e-3], got 1.0"),
+    # qstar takes no options, so --tol abbreviates --tolerance there too
+    (["qstar", "--tol", "1"], "--tolerance expects NAME=VALUE, got '1'"),
     (["contour", "--q", "0"], "--q: Renyi index q must be positive, got 0.0"),
     (["state", "--wrt", "2,0,0"], "--wrt: w_plus must lie in [0, 1], got 2.0"),
     (["state", "--bloch", "nan,0,0"], "--bloch: Bloch component sx is NaN"),

@@ -116,7 +116,7 @@ SWEEP = [
     (entropy_sum, dict(p_val=0.3, v_val=0.4, q=1.5), "v_val", ("V",)),
     (entropy_sum, dict(p_val=0.3, v_val=0.4, q=1.5), "q", ("q",)),
     (minimize_entropy_sum, {}, "q", ("q",)),
-    (find_q_star, {}, "tolerance", ("tolerance",)),
+    (find_q_star, {}, "tolerance", GONE),
     (classify_regime, dict(band_eps=1e-6), "q", ("q",)),
     (classify_regime, dict(q=1.5), "band_eps", ("band_eps",)),
     (brute_force_min, dict(n_states=10_000, include_mixed=True), "q", ("q",)),

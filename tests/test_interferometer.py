@@ -64,6 +64,23 @@ class TestBeamSplitter:
         assert sorted(map(abs, out.as_tuple())) == sorted(map(abs, state.bloch.as_tuple()))
         assert out.norm_sq == pytest.approx(state.bloch.norm_sq, abs=1e-15)
 
+    def test_unit_vectors_are_permuted_exactly(self):
+        # a unit vector's norm summed in the permuted order can round above
+        # 1; the splitter stores the permuted fields without the norm rule,
+        # so one splitter moves the bits and four give the state back
+        rows = np.random.default_rng(0).normal(size=(100_000, 3))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        moved, lost = 0, 0
+        for sx, sy, sz in rows.tolist():
+            state = QubitState.from_bloch(sx, sy, sz)
+            s = state.bloch
+            out = apply_beam_splitter(state)
+            moved += out.bloch.as_tuple() != (s.sz, s.sy, -s.sx)
+            for _ in range(3):
+                out = apply_beam_splitter(out)
+            lost += out != state
+        assert (moved, lost) == (0, 0)
+
     @given(ball_points())
     def test_fourth_power_is_identity(self, s):
         state = QubitState.from_bloch(*s)

@@ -1,8 +1,8 @@
 """The record classes: construction, repr, equality, hashing, immutability, copies.
 
 Every result and argument type of the package is a small record. These
-tests pin the behaviour callers rely on: the constructor signatures and
-defaults, the repr text, value equality with hashing over the fields
+tests pin the behaviour callers rely on: the constructor signatures
+(no field has a default), the repr text, value equality with hashing over the fields
 (identity for ContourGrid), FrozenInstanceError on assignment and
 deletion, pickle and copy round trips, and the validation messages.
 """
@@ -14,6 +14,7 @@ import dataclasses
 import inspect
 import pickle
 import re
+import types
 import weakref
 
 import numpy as np
@@ -285,14 +286,18 @@ class TestContourGrid:
     VALUES = np.array([[0.0, 1.0], [1.0, 2.0]])
 
     def test_constraint_defaults(self):
+        # the constraint is a class constant, not a field a caller can set
         grid = ContourGrid(1.0, 2, self.AXIS, self.VALUES)
-        assert grid.constraint == "P^2+V^2=1"
-        keyword = ContourGrid(q=1.0, n=2, axis=self.AXIS, values=self.VALUES, constraint="none")
-        assert (keyword.q, keyword.n, keyword.constraint) == (1.0, 2, "none")
+        assert grid.constraint == ContourGrid.constraint == "P^2+V^2=1"
+        keyword = ContourGrid(q=1.0, n=2, axis=self.AXIS, values=self.VALUES)
+        assert (keyword.q, keyword.n, keyword.constraint) == (1.0, 2, "P^2+V^2=1")
         assert keyword.axis is self.AXIS and keyword.values is self.VALUES
+        message = "ContourGrid() got an unexpected keyword argument 'constraint'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ContourGrid(1.0, 2, self.AXIS, self.VALUES, constraint="none")
         assert repr(grid) == (
             "ContourGrid(q=1.0, n=2, axis=array([0., 1.]), values=array([[0., 1.],\n"
-            "       [1., 2.]]), constraint='P^2+V^2=1')"
+            "       [1., 2.]]))"
         )
 
     def test_identity_equality(self):
@@ -372,9 +377,22 @@ class TestBaseConstructor:
             cls(**dict(zip(names[:-1], values)))
 
 
-def test_contour_grid_signature_lists_the_default():
-    assert str(inspect.signature(ContourGrid)) == "(q, n, axis, values, constraint='P^2+V^2=1')"
+def test_contour_grid_signature_lists_the_fields():
+    assert ContourGrid._fields == ("q", "n", "axis", "values")
+    assert str(inspect.signature(ContourGrid)) == "(q, n, axis, values)"
     grid = ContourGrid(1.0, 2, TestContourGrid.AXIS, TestContourGrid.VALUES)
-    assert list(vars(grid)) == ["q", "n", "axis", "values", "constraint"]
+    assert list(vars(grid)) == ["q", "n", "axis", "values"]
     with pytest.raises(TypeError, match=re.escape("ContourGrid() missing required argument: 'values'")):
-        ContourGrid(1.0, 2, axis=TestContourGrid.AXIS, constraint="none")
+        ContourGrid(1.0, 2, axis=TestContourGrid.AXIS)
+
+
+def test_records_take_no_field_defaults():
+    # a value assigned to a field name in a class body would be a default
+    # that _Record.__init__ no longer reads; a class constant goes unannotated
+    defaulted = [
+        f"{cls.__qualname__}.{name}"
+        for cls in all_records()
+        for name in cls._fields
+        if name in vars(cls) and not isinstance(vars(cls)[name], types.MemberDescriptorType)
+    ]
+    assert defaulted == []
