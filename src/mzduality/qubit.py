@@ -47,61 +47,34 @@ def _xp(x):
     return numpy
 
 
-class _Signature:
-    """A record class's ``inspect.signature``: its fields, if it takes ``_Record.__init__``.
-
-    Gives None for a class with its own ``__init__``, which ``inspect`` then
-    reads; ``inspect`` is imported only when asked.
-    """
-
-    def __get__(self, record, cls):
-        if cls.__init__ is not _Record.__init__:
-            return None
-        from inspect import Parameter as P, Signature
-
-        return Signature([P(n, P.POSITIONAL_OR_KEYWORD) for n in cls._fields])
-
-
 class _Record:
     """Base of the package's frozen records, in place of ``@dataclass(frozen=True)``.
 
     The fields are the names annotated in the class body, in order; none
-    has a default, so a class constant goes unannotated. ``__init__`` binds
-    arguments to fields by a dataclass's rules and stores them in field
-    order; its ``TypeError`` names the class and the argument, worded a
-    little apart from Python's own. Records that validate or coerce their
-    input keep their own ``__init__``. Equality and hash go over the field
-    values, the repr is the one a dataclass prints, and assignment or
-    deletion raises ``dataclasses.FrozenInstanceError``; ``dataclasses``
-    (and the inspect and ast modules it loads) is imported only then.
+    has a default, so a class constant goes unannotated. A record that only
+    stores its fields defines no ``__init__``: this base compiles one for it
+    from the fields, which takes each by position or keyword and stores
+    them in field order. Records that validate or coerce their input keep
+    their own ``__init__``. Equality and hash go over the field values, the
+    repr is the one a dataclass prints, and assignment or deletion raises
+    ``dataclasses.FrozenInstanceError``; ``dataclasses`` (and the inspect
+    and ast modules it loads) is imported only then.
     """
 
     __slots__ = ()  # a subclass keeps its __dict__ unless it names its own slots
     _fields = ()
-    __signature__ = _Signature()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__annotations__)
-
-    def __init__(self, *args, **kwargs) -> None:
-        cls, names = type(self), self._fields
-        if len(args) > len(names):
-            raise TypeError(
-                f"{cls.__qualname__}() takes {len(names)} positional arguments"
-                f" but {len(args)} were given"
-            )
-        for name, value in zip(names, args):
-            if name in kwargs:
-                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
-            kwargs[name] = value
-        fields = self.__dict__
-        for name in names:
-            if name not in kwargs:
-                raise TypeError(f"{cls.__qualname__}() missing required argument: {name!r}")
-            fields[name] = kwargs.pop(name)
-        if kwargs:
-            unknown = next(iter(kwargs))
-            raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {unknown!r}")
+        cls._fields = names = tuple(cls.__annotations__)
+        if "__init__" not in vars(cls):
+            params = ", ".join(names)
+            stores = ", ".join(f"{name}={name}" for name in names)
+            source = f"def __init__(self, {params}):\n    self.__dict__.update({stores})"
+            scope = {}
+            exec(compile(source, "<_Record>", "exec"), scope)
+            init = cls.__init__ = scope["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init.__module__ = cls.__module__
 
     def __setattr__(self, name: str, value) -> None:
         from dataclasses import FrozenInstanceError
@@ -415,9 +388,9 @@ def expectation(obs: BlochObservable, state: QubitState) -> float:
 
 
 def variance(obs: BlochObservable, state: QubitState) -> float:
-    """(Delta A)^2 = alpha2^2 * [1 - (a . s)^2], in [0, alpha2^2]."""
+    """(Delta A)^2 = alpha2^2 * [1 - (a . s)^2], in [0, alpha2^2]: |a . s| rounded past 1 gives 0."""
     d = _dot(obs.axis, state.bloch.as_tuple())
-    return obs.alpha2 * obs.alpha2 * (1.0 - d * d)
+    return obs.alpha2 * obs.alpha2 * max(1.0 - d * d, 0.0)
 
 
 def overlap(obs_a: BlochObservable, obs_b: BlochObservable) -> float:

@@ -399,6 +399,28 @@ MUTANTS = [
         'constraint: str = "P^2+V^2=1"',
         ["tests/test_records.py", "-k", "no_field_defaults"],
     ),
+    # a storing record's compiled __init__ takes its fields in reverse order
+    (
+        "qubit.py",
+        '", ".join(names)',
+        '", ".join(reversed(names))',
+        ["tests/test_records.py", "-k", "BaseConstructor"],
+    ),
+    # the compiled __init__ keeps the name it was compiled under, so Python's
+    # TypeError names "__init__()" and not the record
+    (
+        "qubit.py",
+        '            init.__qualname__ = f"{cls.__qualname__}.__init__"\n',
+        "",
+        ["tests/test_records.py", "-k", "BaseConstructor"],
+    ),
+    # a variance on an eigenstate whose |a . s| rounds above 1 comes out negative
+    (
+        "qubit.py",
+        "max(1.0 - d * d, 0.0)",
+        "(1.0 - d * d)",
+        ["tests/test_qubit.py", "-k", "eigenstates"],
+    ),
 ]
 
 
